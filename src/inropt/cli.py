@@ -131,7 +131,7 @@ def cmd_definite(args):
     from .definite import crawford_number
     pair, C = _load_operands(args)
     if pair is None:
-        from .gallery import hermitian_split
+        from .kernels import hermitian_split
         pair = hermitian_split(C)
     cr = crawford_number(pair[0], pair[1], method=args.method,
                          **_solver_opts(args))
@@ -248,7 +248,8 @@ def cmd_gallery(args):
 
 
 def cmd_fov(args):
-    from .gallery import hermitian_split
+    from .kernels import hermitian_split
+    from .param import ParamHermitian, top_cluster
     pair, C = _load_operands(args)
     if C is None:
         C = pair[0] + 1j * pair[1]
@@ -259,14 +260,12 @@ def cmd_fov(args):
     if m < 3:
         print("error: --samples must be >= 3", file=sys.stderr)
         return EXIT_ERROR
-    A, B = hermitian_split(C)
+    P = ParamHermitian.trig(*hermitian_split(C))
     rows = []
     boundary = []
     for i in range(m):
         th = 2.0 * np.pi * i / m
-        H = A * np.cos(th) + B * np.sin(th)
-        w, V = np.linalg.eigh(H)
-        v = V[:, -1]
+        v = top_cluster(P, th).vectors[:, 0]
         p = complex(v.conj() @ C @ v)
         boundary.append(p)
         rows.append(("boundary", th, p.real, p.imag))

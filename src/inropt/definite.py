@@ -16,7 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NotPositiveDefiniteMass, VerificationFailure
-from .kernels import DENSE_THRESHOLD, as_hermitian, hermitian_eig
+from .kernels import (as_hermitian, below_dense_threshold, hermitian_eig,
+                      hermitian_split)
 from .param import EPS_CLUSTER_DEFAULT, ParamHermitian
 from .results import MinResult
 from . import levelset as _levelset
@@ -63,18 +64,6 @@ class DefiniteRepair:
     theta_star: float
 
 
-def _split_input(C, pair):
-    if (C is None) == (pair is None):
-        raise ValueError("pass exactly one of C or pair=(A, B)")
-    if pair is not None:
-        A, B = pair
-        return as_hermitian(A), as_hermitian(B)
-    C = np.asarray(C, dtype=complex)
-    A = (C + C.conj().T) / 2.0
-    B = -1j * (C - C.conj().T) / 2.0
-    return as_hermitian(A, check=False), as_hermitian(B, check=False)
-
-
 def inner_numerical_radius(C=None, pair=None, method: str = "auto",
                            tol: float = 1e-12,
                            eps_cluster: float = EPS_CLUSTER_DEFAULT,
@@ -88,13 +77,16 @@ def inner_numerical_radius(C=None, pair=None, method: str = "auto",
     ``support`` (piecewise-quadratic model), ``subspace`` (projection loop,
     the only choice for large sparse pairs), or ``auto``.
     """
-    A, B = _split_input(C, pair)
+    if (C is None) == (pair is None):
+        raise ValueError("pass exactly one of C or pair=(A, B)")
+    A, B = pair if pair is not None else hermitian_split(C)
+    A, B = as_hermitian(A), as_hermitian(B)
     P = ParamHermitian.trig(A, B)
     n = A.dim
     if method == "auto":
-        method = "support" if n <= DENSE_THRESHOLD else "subspace"
+        method = "support" if below_dense_threshold(n) else "subspace"
     if method == "levelset":
-        if not (A.is_dense and B.is_dense) and n > DENSE_THRESHOLD:
+        if not ((A.is_dense and B.is_dense) or below_dense_threshold(n)):
             raise ValueError("levelset method requires dense input")
         Cd = A.dense + 1j * B.dense
         res, _ = _levelset.levelset_minimize(
@@ -192,8 +184,7 @@ def nearest_definite_pair(A, B, delta: float, method: str = "auto",
     dB = np.sin(theta) * D
     psi = (theta + np.pi / 2.0) % TWO_PI
     T = np.exp(-1j * psi) * ((Ah + dA) + 1j * (Bh + dB))
-    A_t = (T + T.conj().T) / 2.0
-    B_t = -1j * (T - T.conj().T) / 2.0
+    A_t, B_t = hermitian_split(T)
     lam_min_Bt = float(np.linalg.eigvalsh(B_t)[0])
 
     scale = max(1.0, float(np.linalg.norm(np.hstack([Ah, Bh]), 2)))

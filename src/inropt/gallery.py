@@ -10,6 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidParams
+from .kernels import hermitian_split
 
 _PHILOX = np.random.Philox
 
@@ -88,14 +89,6 @@ def tridiag_nonsmooth(n: int = 10) -> np.ndarray:
     M += np.diag(off, 1) + np.diag(off, -1)
     M += 0.5j * np.eye(n)
     return M * np.exp(1j * np.pi / 6)
-
-
-def hermitian_split(C):
-    """Hermitian pair (A, B) with C = A + iB."""
-    C = np.asarray(C, dtype=complex)
-    A = (C + C.conj().T) / 2.0
-    B = -1j * (C - C.conj().T) / 2.0
-    return A, B
 
 
 def qep_mass_spring(n: int, beta: float):

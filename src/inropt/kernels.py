@@ -125,6 +125,19 @@ class Basis:
         return self.cols.shape[1]
 
 
+def below_dense_threshold(n: int) -> bool:
+    """The dense/Lanczos crossover: dimension ``n`` takes the dense path."""
+    return n < DENSE_THRESHOLD
+
+
+def hermitian_split(C):
+    """Hermitian pair (A, B) with C = A + iB."""
+    C = np.asarray(C, dtype=complex)
+    A = (C + C.conj().T) / 2.0
+    B = -1j * (C - C.conj().T) / 2.0
+    return A, B
+
+
 def hermitian_eig(M) -> EigDecomposition:
     """Full eigendecomposition of a dense Hermitian matrix.
 
@@ -158,20 +171,23 @@ def largest_eigpairs(M, eps_cluster: float, max_pairs: int):
         raise ValueError("max_pairs must be >= 1")
     op = as_hermitian(M)
     n = op.dim
-    if op.is_dense or n < DENSE_THRESHOLD:
-        dec = hermitian_eig(op.dense)
+    if op.is_dense or below_dense_threshold(n):
+        dec = hermitian_eig(op)
         vals, vecs = dec.values, dec.vectors
     else:
         k = min(max_pairs + 1, n - 1)
         vals = vecs = None
         norm_ub = spectral_norm_ub(op)
         ncv = min(n, max(4 * k + 1, 40))
+        # A fixed start vector makes repeated calls return the same bits.
+        v0 = np.random.default_rng(12345).standard_normal(n).astype(
+            op.raw.dtype)
         last_exc = None
         for attempt in range(3):
             try:
                 w, V = spla.eigsh(op.raw, k=k, which="LA", tol=0,
                                   ncv=min(n, ncv * (attempt + 1)),
-                                  maxiter=200 * n)
+                                  maxiter=200 * n, v0=v0)
             except spla.ArpackNoConvergence as exc:
                 last_exc = exc
                 continue
@@ -198,7 +214,7 @@ def spectral_norm_ub(M) -> float:
     run a power iteration on M^2 and inflate by the safeguard factor.
     """
     op = as_hermitian(M, check=False)
-    if op.is_dense or op.dim < DENSE_THRESHOLD:
+    if op.is_dense or below_dense_threshold(op.dim):
         w = np.linalg.eigvalsh(op.dense)
         return float(max(abs(w[0]), abs(w[-1])))
     # Power iteration on M^2 (robust when the extreme eigenvalues tie in

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyLevelSet
-from .kernels import pencil_unit_eigs
+from .kernels import hermitian_split, pencil_unit_eigs
 from .param import ParamHermitian, clarke_interval
 from .results import MinResult, Status
 
@@ -110,11 +110,6 @@ def level_intervals(C: np.ndarray, alpha: float,
                                               wraps=bool(hi <= run_lo)))
             run_lo = None
         i = nxt
-    if run_lo is not None:
-        hi = ang[(start + 1) % m] if sub[start] else ang[start]
-        # unreachable by construction (runs close before revisiting start)
-        intervals.append(CircularInterval(lo=float(run_lo), hi=float(hi),
-                                          wraps=bool(hi <= run_lo)))
     intervals.sort(key=lambda iv: iv.lo)
     return intervals
 
@@ -161,9 +156,7 @@ def levelset_minimize(C: np.ndarray, tol: float = TOL_DEFAULT,
             break
         r = min(r, r_new)
 
-    A = (C + C.conj().T) / 2.0
-    B = -1j * (C - C.conj().T) / 2.0
-    P = ParamHermitian.trig(A, B)
+    P = ParamHermitian.trig(*hermitian_split(C))
     result = MinResult(omega_star=omega_star, f_star=float(r),
                        lower_bound=-np.inf, iterations=len(trace.estimates),
                        trace=[(k, None, rk, -np.inf)

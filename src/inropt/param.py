@@ -13,8 +13,9 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .kernels import (DENSE_THRESHOLD, Basis, HermitianOperator, as_hermitian,
-                      hermitian_eig, largest_eigpairs, spectral_norm_ub)
+from .errors import NonHermitianInput
+from .kernels import (Basis, HermitianOperator, as_hermitian,
+                      largest_eigpairs, spectral_norm_ub)
 
 EPS_CLUSTER_DEFAULT = 1e-6
 MAX_CLUSTER_DEFAULT = 10
@@ -121,18 +122,63 @@ class ClarkeInterval:
         return self.lo < 0.0 < self.hi
 
 
-def _cluster_pairs(P: ParamHermitian, omega, eps_cluster, max_cluster):
-    op = P.evaluate(omega)
-    if op.is_dense or op.dim < DENSE_THRESHOLD:
-        dec = hermitian_eig(op)
-        vals = dec.values
-        size = 1
-        while size < len(vals) and vals[0] - vals[size] <= eps_cluster:
-            size += 1
-        size = min(size, max_cluster)
-        return vals[:size], dec.vectors[:, :size], op
-    vals, vecs = largest_eigpairs(op, eps_cluster, max_cluster)
-    return vals, vecs, op
+# Eigenvalues closer than this (relative) are a numerically exact tie; only
+# then is the eigenvector attribution arbitrary enough to need the
+# derivative-interval slope.  Looser gates would build supports with the
+# wrong branch slope near a kink and break the lower-bound certificate.
+TIE_TOL = 1e-13
+
+
+@dataclass(frozen=True)
+class TopCluster:
+    """lambda_max(A(w)), its eigenvalue cluster U and derivative data.
+
+    ``values`` are the eigenvalues within ``eps_cluster`` of the largest (at
+    most ``MAX_CLUSTER_DEFAULT``) and ``vectors`` the columns of U;
+    ``top_derivative`` is v^* A'(w) v for the top eigenvector v.
+    """
+
+    omega: float
+    values: np.ndarray
+    vectors: np.ndarray
+    dA: HermitianOperator
+    top_derivative: complex
+
+    @property
+    def lambda_max(self) -> float:
+        return float(self.values[0])
+
+    def _block_eigvalsh(self, m: int) -> np.ndarray:
+        """Ascending eigenvalues of U^* A'(w) U over the first m columns."""
+        U = self.vectors[:, :m]
+        S = U.conj().T @ self.dA.apply(U)
+        return np.linalg.eigvalsh((S + S.conj().T) / 2.0)
+
+    @property
+    def slope(self) -> float:
+        tie = TIE_TOL * max(1.0, abs(self.lambda_max))
+        m = 1
+        while m < len(self.values) and self.values[0] - self.values[m] <= tie:
+            m += 1
+        if m == 1:
+            return self.top_derivative.real
+        return float(self._block_eigvalsh(m)[-1])
+
+    @property
+    def clarke(self) -> ClarkeInterval:
+        w = self._block_eigvalsh(len(self.values))
+        return ClarkeInterval(lo=float(w[0]), hi=float(w[-1]))
+
+
+def top_cluster(P: ParamHermitian, omega: float,
+                eps_cluster: float = EPS_CLUSTER_DEFAULT) -> TopCluster:
+    """Evaluate A(w) and A'(w) once; extract the largest-eigenvalue cluster."""
+    vals, vecs = largest_eigpairs(P.evaluate(omega), eps_cluster,
+                                  MAX_CLUSTER_DEFAULT)
+    dA = P.derivative_matrix(omega)
+    v = vecs[:, 0]
+    return TopCluster(float(omega), vals, vecs, dA,
+                      complex(v.conj() @ dA.apply(v)))
 
 
 def eig_max_eval(P: ParamHermitian, omega: float,
@@ -141,17 +187,17 @@ def eig_max_eval(P: ParamHermitian, omega: float,
 
     ``cluster_size`` counts the eigenvalues within ``eps_cluster`` of the
     largest; at points where the largest eigenvalue is simple the derivative
-    is the classical analytic one.
+    is the classical analytic one.  Raises NonHermitianInput when A'(w) is
+    not Hermitian.
     """
-    vals, vecs, _ = _cluster_pairs(P, omega, eps_cluster, MAX_CLUSTER_DEFAULT)
-    v = vecs[:, 0]
-    Ap = P.derivative_matrix(omega)
-    dval = complex(v.conj() @ Ap.apply(v))
-    scale = max(1.0, abs(vals[0]))
-    assert abs(dval.imag) <= 1e-10 * scale, "derivative has a large imaginary part"
-    return EigEval(omega=float(omega), lambda_max=float(vals[0]),
-                   derivative=float(dval.real), eigvec=v,
-                   cluster_size=int(len(vals)))
+    tc = top_cluster(P, omega, eps_cluster)
+    d = tc.top_derivative
+    if not abs(d.imag) <= 1e-10 * max(1.0, abs(tc.lambda_max)):
+        raise NonHermitianInput(
+            f"derivative has a large imaginary part {d.imag:.3e}")
+    return EigEval(omega=tc.omega, lambda_max=tc.lambda_max,
+                   derivative=d.real, eigvec=tc.vectors[:, 0],
+                   cluster_size=len(tc.values))
 
 
 def clarke_interval(P: ParamHermitian, omega: float,
@@ -162,19 +208,7 @@ def clarke_interval(P: ParamHermitian, omega: float,
     derivative; a sharp non-smooth minimizer is flagged by
     ``contains_zero_strictly``.
     """
-    vals, U, _ = _cluster_pairs(P, omega, eps_cluster, MAX_CLUSTER_DEFAULT)
-    Ap = P.derivative_matrix(omega)
-    S = U.conj().T @ Ap.apply(U)
-    S = (S + S.conj().T) / 2.0
-    w = np.linalg.eigvalsh(S)
-    return ClarkeInterval(lo=float(w[0]), hi=float(w[-1]))
-
-
-# Eigenvalues closer than this (relative) are a numerically exact tie; only
-# then is the eigenvector attribution arbitrary enough to need the
-# derivative-interval slope.  Looser gates would build supports with the
-# wrong branch slope near a kink and break the lower-bound certificate.
-TIE_TOL = 1e-13
+    return top_cluster(P, omega, eps_cluster).clarke
 
 
 def support_slope(P: ParamHermitian, omega: float,
@@ -187,22 +221,8 @@ def support_slope(P: ParamHermitian, omega: float,
     computed top eigenvector's branch.  ``cluster_size`` still counts the
     ``eps_cluster`` neighborhood for diagnostics.
     """
-    vals, vecs, _ = _cluster_pairs(P, omega, eps_cluster, MAX_CLUSTER_DEFAULT)
-    cluster_size = int(len(vals))
-    Ap = P.derivative_matrix(omega)
-    tie = TIE_TOL * max(1.0, abs(vals[0]))
-    m = 1
-    while m < len(vals) and vals[0] - vals[m] <= tie:
-        m += 1
-    if m == 1:
-        v = vecs[:, 0]
-        slope = float(np.real(v.conj() @ Ap.apply(v)))
-    else:
-        U = vecs[:, :m]
-        S = U.conj().T @ Ap.apply(U)
-        S = (S + S.conj().T) / 2.0
-        slope = float(np.linalg.eigvalsh(S)[-1])
-    return float(vals[0]), slope, cluster_size
+    tc = top_cluster(P, omega, eps_cluster)
+    return tc.lambda_max, tc.slope, len(tc.values)
 
 
 def default_gamma_trig(A, B) -> float:
@@ -213,14 +233,3 @@ def default_gamma_trig(A, B) -> float:
     """
     return -(spectral_norm_ub(A) + spectral_norm_ub(B))
 
-
-def evaluate(P: ParamHermitian, omega: float) -> HermitianOperator:
-    return P.evaluate(omega)
-
-
-def derivative_matrix(P: ParamHermitian, omega: float) -> HermitianOperator:
-    return P.derivative_matrix(omega)
-
-
-def project(P: ParamHermitian, V: Basis) -> ParamHermitian:
-    return P.project(V)

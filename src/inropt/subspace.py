@@ -18,15 +18,14 @@ import numpy as np
 
 from .errors import ReducedSolveFailure
 from .kernels import Basis, largest_eigpairs, orthonormal_extend
-from .param import EPS_CLUSTER_DEFAULT, ParamHermitian, clarke_interval, \
-    default_gamma_trig
+from .param import EPS_CLUSTER_DEFAULT, ParamHermitian, default_gamma_trig, \
+    top_cluster
 from .results import MinResult, Status
 from . import levelset as _levelset
 from . import support as _support
 
 TOL_DEFAULT = 1e-12
 MAX_ITER_DEFAULT = 100
-MAX_CLUSTER = 10
 REDUCED_TOL = 1e-14
 DEFAULT_SEED = 0
 
@@ -80,8 +79,7 @@ def subspace_minimize(P: ParamHermitian,
                       inner: str = "support",
                       omega1: Optional[float] = None,
                       seed: int = DEFAULT_SEED,
-                      gamma: Optional[float] = None,
-                      max_cluster: int = MAX_CLUSTER):
+                      gamma: Optional[float] = None):
     """Globally minimize lambda_max(A(w)) through projected subproblems.
 
     ``omega1`` fixes the initial sample point; when omitted it is drawn
@@ -95,18 +93,17 @@ def subspace_minimize(P: ParamHermitian,
     if gamma is None and P.is_trig:
         gamma = default_gamma_trig(P.terms[0].matrix, P.terms[1].matrix)
 
-    vals, vecs = largest_eigpairs(P.evaluate(omega1), eps_cluster, max_cluster)
-    basis = orthonormal_extend(Basis.empty(P.dim), vecs.T)
+    cluster = top_cluster(P, omega1, eps_cluster)
+    basis = orthonormal_extend(Basis.empty(P.dim), cluster.vectors.T)
     state = SubspaceState(basis=basis, reduced=P.project(basis),
                           eps_cluster=eps_cluster,
-                          cluster_sizes=[vecs.shape[1]])
+                          cluster_sizes=[len(cluster.values)])
 
     status = Status.MAX_ITERATIONS
     note = ""
     prev_reduced_min = None
     omega_next = omega1
     for k in range(1, max_iter + 1):
-        state.reduced = P.project(state.basis)
         res = _solve_reduced(state.reduced, inner, gamma, omega0=omega_next)
         omega_next, reduced_min = res.omega_star, res.f_star
         state.trace.append((k, state.basis.size, omega_next, reduced_min))
@@ -115,14 +112,13 @@ def subspace_minimize(P: ParamHermitian,
             status = Status.CONVERGED
             break
         prev_reduced_min = reduced_min
-        vals, vecs = largest_eigpairs(P.evaluate(omega_next), eps_cluster,
-                                      max_cluster)
-        grown = orthonormal_extend(state.basis, vecs.T)
-        state.cluster_sizes.append(vecs.shape[1])
+        cluster = top_cluster(P, omega_next, eps_cluster)
+        grown = orthonormal_extend(state.basis, cluster.vectors.T)
+        state.cluster_sizes.append(len(cluster.values))
         if grown.size == state.basis.size:
             # No new directions: the next reduced solve cannot change, so
             # decide on the full-vs-reduced gap at the current iterate.
-            gap = float(vals[0]) - reduced_min
+            gap = cluster.lambda_max - reduced_min
             if abs(gap) <= tol * max(1.0, abs(reduced_min)):
                 status = Status.CONVERGED
                 note = ("basis saturated the full space"
@@ -134,11 +130,12 @@ def subspace_minimize(P: ParamHermitian,
                         f"full/reduced gap of {gap:.3e}")
             break
         state.basis = grown
+        state.reduced = P.project(grown)
 
     omega_star = float(omega_next)
-    full_vals, _ = largest_eigpairs(P.evaluate(omega_star), eps_cluster,
-                                    max_cluster)
-    f_star = float(full_vals[0])
+    if cluster.omega != omega_star:
+        cluster = top_cluster(P, omega_star, eps_cluster)
+    f_star = cluster.lambda_max
     lower = float(state.trace[-1][3]) if state.trace else -np.inf
     if f_star - lower > max(tol, 1e-12) * max(1.0, abs(f_star)) * 100:
         extra = (f"full/reduced value gap {f_star - lower:.3e} "
@@ -148,7 +145,7 @@ def subspace_minimize(P: ParamHermitian,
         omega_star=omega_star, f_star=f_star, lower_bound=lower,
         iterations=len(state.trace),
         trace=[(k, om, rv, rv) for (k, _, om, rv) in state.trace],
-        clarke=clarke_interval(P, omega_star, eps_cluster),
+        clarke=cluster.clarke,
         status=status, note=note)
     return result, state
 
@@ -167,7 +164,6 @@ def verify_interpolation(state: SubspaceState, P: ParamHermitian,
     p = state.cluster_sizes[k] if k < len(state.cluster_sizes) else 1
     p = max(1, min(p, state.basis.size))
     full_vals, _ = largest_eigpairs(P.evaluate(omega), np.inf, p)
-    red = P.project(state.basis)
-    red_vals = np.linalg.eigvalsh(red.evaluate(omega).dense)[::-1]
+    red_vals = np.linalg.eigvalsh(state.reduced.evaluate(omega).dense)[::-1]
     p = min(p, len(red_vals), len(full_vals))
     return float(np.max(np.abs(full_vals[:p] - red_vals[:p])))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from inropt import gallery
 from inropt.definite import (crawford_number, eigenpair_backmap,
@@ -55,6 +56,28 @@ class TestInnerNumericalRadius:
         z1 = inner_numerical_radius(C=C).zeta
         z2 = inner_numerical_radius(C=2.5 * C).zeta
         assert z2 == pytest.approx(2.5 * z1, abs=1e-8 * max(1.0, z1))
+
+    def test_auto_routes_on_the_dense_threshold(self, monkeypatch):
+        from inropt import subspace, support
+
+        class SupportCalled(Exception):
+            pass
+
+        class SubspaceCalled(Exception):
+            pass
+
+        def raiser(exc):
+            def fail(*args, **kwargs):
+                raise exc
+            return fail
+
+        monkeypatch.setattr(support, "eigopt_minimize", raiser(SupportCalled))
+        monkeypatch.setattr(subspace, "subspace_minimize",
+                            raiser(SubspaceCalled))
+        for n, expected in ((999, SupportCalled), (1000, SubspaceCalled)):
+            pair = (sp.identity(n, format="csr"), sp.diags(np.ones(n)))
+            with pytest.raises(expected):
+                inner_numerical_radius(pair=pair, method="auto")
 
     def test_zeta_rotation_invariance(self):
         rng = np.random.default_rng(41)

@@ -82,6 +82,15 @@ class TestLargestEigpairs:
         r = P @ vecs[:, 0] - vals[0] * vecs[:, 0]
         assert np.linalg.norm(r) <= 1e-9 * abs(vals[0])
 
+    def test_lanczos_path_is_deterministic(self):
+        # 1024 x 1024 sparse Laplacian takes the Lanczos path; repeated
+        # calls must return the same bits
+        P = gallery.poisson2d(32)
+        v1, V1 = largest_eigpairs(P, eps_cluster=1e-6, max_pairs=3)
+        v2, V2 = largest_eigpairs(P, eps_cluster=1e-6, max_pairs=3)
+        assert np.array_equal(v1, v2)
+        assert np.array_equal(V1, V2)
+
 
 class TestPencil:
     # 1x1 oracle: the pencil eigenvalues solve lam^2 - 2*alpha*lam + 1 = 0

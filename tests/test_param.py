@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from inropt import gallery
+from inropt.errors import NonHermitianInput
 from inropt.kernels import Basis, hermitian_eig
 from inropt.param import (ParamHermitian, Term, clarke_interval,
                           default_gamma_trig, eig_max_eval, support_slope)
@@ -93,6 +94,24 @@ class TestEigMaxEval:
                   - lam_max_trig(A, B, [w - h])[0]) / (2 * h)
             scale = max(1.0, np.linalg.norm(P.derivative_matrix(w).dense, 2))
             assert abs(ev.derivative - fd) <= 1e-6 * scale
+
+    def test_non_hermitian_derivative_raises(self):
+        t = Term(lambda w: w, lambda w: 1j, lambda w: 0.0,
+                 HermitianOperator(np.diag([1.0, -1.0])))
+        P = ParamHermitian([t], (0.0, 1.0))
+        with pytest.raises(NonHermitianInput):
+            eig_max_eval(P, 0.5)
+
+    def test_views_agree_at_tridiag_crossing(self):
+        A, B = tridiag_pair()
+        P = ParamHermitian.trig(A, B)
+        ev = eig_max_eval(P, THETA_STAR_TRIDIAG)
+        lam, slope, _ = support_slope(P, THETA_STAR_TRIDIAG)
+        ci = clarke_interval(P, THETA_STAR_TRIDIAG)
+        assert ev.lambda_max == lam
+        assert ev.cluster_size == 2
+        assert slope == ci.hi
+        assert ci.lo <= ev.derivative <= ci.hi
 
 
 class TestClarkeInterval:
