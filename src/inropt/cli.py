@@ -385,10 +385,17 @@ def main(argv=None):
         threads = os.environ.get("INR_OPT_THREADS")
         if threads:
             try:
+                limit = int(threads)
+                if limit < 1:
+                    raise ValueError(threads)
                 from threadpoolctl import threadpool_limits
-                stack.enter_context(threadpool_limits(int(threads)))
-            except (ImportError, ValueError):
-                pass
+                stack.enter_context(threadpool_limits(limit))
+            except ImportError:
+                print("note: INR_OPT_THREADS ignored: threadpoolctl is not "
+                      "installed", file=sys.stderr)
+            except ValueError:
+                print(f"note: INR_OPT_THREADS ignored: {threads!r} is not a "
+                      "positive integer", file=sys.stderr)
         try:
             return args.fn(args)
         except VerificationFailure as exc:

@@ -28,6 +28,8 @@ EIG_RESIDUAL_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
 # Default discard tolerance for orthonormal_extend.
 DROP_TOL = 1e-12
+# Below this reciprocal 1-norm condition of C^* the level pencil goes to QZ.
+PENCIL_RCOND_MIN = 1e-8
 
 
 class HermitianOperator:
@@ -250,7 +252,8 @@ def pencil_unit_eigs(C: np.ndarray, alpha: float, tol_circle: float = 1e-8):
     for every generalized eigenvalue with ``||lambda| - 1|`` below
     ``tol_circle * max(1, ||C||_2)``.  The angles are candidates only; the
     caller must keep those where alpha is really the largest eigenvalue of
-    the rotated Hermitian part.
+    the rotated Hermitian part.  A well-conditioned ``C`` takes the standard
+    eigenproblem of ``S^{-1} R``, any other the QZ algorithm.
     """
     C = np.asarray(C, dtype=complex)
     n = C.shape[0]
@@ -260,6 +263,23 @@ def pencil_unit_eigs(C: np.ndarray, alpha: float, tol_circle: float = 1e-8):
     eye = np.eye(n)
     zero = np.zeros((n, n))
 
+    def on_circle(ev):
+        keep = np.abs(np.abs(ev) - 1.0) <= tol_circle * max(1.0, norm_c)
+        return np.sort(np.mod(np.angle(ev[keep]), 2.0 * np.pi))
+
+    # S^{-1} R = [[2*alpha*C^{-*}, -C^{-*} C], [I, 0]]; the solve also gives
+    # C^{-*} for the condition estimate.
+    Ch = C.conj().T
+    try:
+        Y = np.linalg.solve(Ch, np.hstack([eye, -C]))
+        rcond = 1.0 / (np.linalg.norm(Ch, 1) * np.linalg.norm(Y[:, :n], 1))
+        if rcond > PENCIL_RCOND_MIN:
+            Y[:, :n] *= 2.0 * alpha
+            T = np.vstack([Y, np.hstack([eye, zero])])
+            return on_circle(np.linalg.eigvals(T))
+    except np.linalg.LinAlgError:
+        pass
+
     def unit_angles(Cmat):
         R = np.block([[2.0 * alpha * eye, -Cmat], [eye, zero]])
         S = np.block([[Cmat.conj().T, zero], [zero, eye]])
@@ -267,8 +287,7 @@ def pencil_unit_eigs(C: np.ndarray, alpha: float, tol_circle: float = 1e-8):
         ev = ev[np.isfinite(ev)]
         if ev.size == 0:
             return None
-        keep = np.abs(np.abs(ev) - 1.0) <= tol_circle * max(1.0, norm_c)
-        return np.sort(np.mod(np.angle(ev[keep]), 2.0 * np.pi))
+        return on_circle(ev)
 
     try:
         angles = unit_angles(C)

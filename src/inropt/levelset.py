@@ -27,6 +27,9 @@ MAX_ITER_DEFAULT = 200
 # When every sub-level gap is shorter than this fraction of the circle the
 # level set has collapsed to the attainable minimum.
 COLLAPSE_TOL = 1e-14
+# A converged stop needs 0 within this distance of the final derivative
+# interval, relative to max(1, ||C||_2).
+STATIONARY_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -59,9 +62,21 @@ class LevelSetTrace:
     max_lengths: list = field(default_factory=list)
 
 
+def _hermitian_part(C, theta):
+    return (C * np.exp(-1j * theta) + C.conj().T * np.exp(1j * theta)) / 2.0
+
+
 def _lam_max(C, theta):
-    H = (C * np.exp(-1j * theta) + C.conj().T * np.exp(1j * theta)) / 2.0
-    return float(np.linalg.eigvalsh(H)[-1])
+    return float(np.linalg.eigvalsh(_hermitian_part(C, theta))[-1])
+
+
+def _below(H, level):
+    """lambda_max(H) < level, by a Cholesky factorization of level*I - H."""
+    try:
+        np.linalg.cholesky(level * np.eye(len(H)) - H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def level_intervals(C: np.ndarray, alpha: float,
@@ -71,12 +86,15 @@ def level_intervals(C: np.ndarray, alpha: float,
     Candidate crossings come from the level pencil; only angles where alpha
     really is the largest eigenvalue survive.  Gaps between consecutive
     surviving angles are classified by the sign of f(midpoint) - alpha and
-    merged into maximal circular intervals.
+    merged into maximal circular intervals.  Both tests are Cholesky trials.
     """
     C = np.asarray(C, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(C, 2)))
-    cand = pencil_unit_eigs(C, alpha)
-    kept = [t for t in cand if abs(_lam_max(C, t) - alpha) <= filter_tol * scale]
+    tau = filter_tol * max(1.0, float(np.linalg.norm(C, 2)))
+    kept = []
+    for t in pencil_unit_eigs(C, alpha):
+        H = _hermitian_part(C, t)
+        if _below(H, alpha + tau) and not _below(H, alpha - tau):
+            kept.append(t)
     if not kept:
         raise EmptyLevelSet(
             f"no level crossings at {alpha!r} survived filtering")
@@ -88,7 +106,7 @@ def level_intervals(C: np.ndarray, alpha: float,
         lo = ang[i]
         hi = ang[(i + 1) % m] + (TWO_PI if i == m - 1 else 0.0)
         mid = (0.5 * (lo + hi)) % TWO_PI
-        sub.append(_lam_max(C, mid) < alpha)
+        sub.append(_below(_hermitian_part(C, mid), alpha))
     if not any(sub):
         raise EmptyLevelSet(
             f"no sub-level gap at {alpha!r} (level at or below the minimum)")
@@ -156,11 +174,19 @@ def levelset_minimize(C: np.ndarray, tol: float = TOL_DEFAULT,
             break
         r = min(r, r_new)
 
-    P = ParamHermitian.trig(*hermitian_split(C))
+    clarke = clarke_interval(ParamHermitian.trig(*hermitian_split(C)),
+                             omega_star)
+    # A level set also vanishes when the filter rejects every crossing; only
+    # a stop with 0 (nearly) in the derivative interval is a minimum.
+    dist = max(0.0, clarke.lo, -clarke.hi)
+    if status is Status.CONVERGED and dist > STATIONARY_TOL * max(
+            1.0, float(np.linalg.norm(C, 2))):
+        status = Status.MAX_ITERATIONS
+        note = (f"{note or 'stopped'}: not a minimum, 0 lies {dist:.3e} "
+                "from the derivative interval")
     result = MinResult(omega_star=omega_star, f_star=float(r),
                        lower_bound=-np.inf, iterations=len(trace.estimates),
                        trace=[(k, None, rk, -np.inf)
                               for k, rk in enumerate(trace.estimates, start=1)],
-                       clarke=clarke_interval(P, omega_star), status=status,
-                       note=note)
+                       clarke=clarke, status=status, note=note)
     return result, trace

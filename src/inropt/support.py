@@ -22,8 +22,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateSupports, InvalidGamma
-from .param import EPS_CLUSTER_DEFAULT, ParamHermitian, clarke_interval, \
-    default_gamma_trig, support_slope
+from .param import EPS_CLUSTER_DEFAULT, ParamHermitian, default_gamma_trig, \
+    top_cluster
 from .results import MinResult, Status
 
 TOL_DEFAULT = 1e-12
@@ -273,14 +273,21 @@ def eigopt_minimize(P: ParamHermitian, gamma: Optional[float] = None,
         A, B = P.terms[0].matrix, P.terms[1].matrix
         gamma = default_gamma_trig(A, B)
 
+    # The record at _run_support's best_omega (same strict rule) supplies the
+    # Clarke interval without evaluating that point again.
+    best = None
+
     def eval_fn(w):
-        val, slope, _ = support_slope(P, w, eps_cluster)
-        return val, slope
+        nonlocal best
+        tc = top_cluster(P, w, eps_cluster)
+        if best is None or tc.lambda_max < best.lambda_max:
+            best = tc
+        return tc.lambda_max, tc.slope
 
     seeds = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2) if P.is_trig else ()
     res = _run_support(eval_fn, P.omega_range, gamma, tol, max_iter,
                        omega0, seeds)
-    res.clarke = clarke_interval(P, res.omega_star, eps_cluster)
+    res.clarke = best.clarke
     return res
 
 

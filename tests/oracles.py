@@ -2,13 +2,15 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 eigenvalues by characteristic-polynomial bisection (LU determinants, not
-eigh), global minima by dense grids with golden-section refinement, and
-convergence-order estimation by least squares on log-errors.
+eigh), global minima by dense grids with golden-section refinement,
+convergence-order estimation by least squares on log-errors, level-pencil
+eigenvalues by QZ and level-set classification by eigvalsh.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg as sla
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -120,3 +122,44 @@ def random_hermitian(n, rng, real=False):
 
 def random_trig_pair(n, rng, real=False):
     return random_hermitian(n, rng, real), random_hermitian(n, rng, real)
+
+
+def pencil_unit_angles_qz(C, alpha, tol_circle=1e-8):
+    """Sorted angles in [0, 2*pi) of the near-unit-modulus generalized
+    eigenvalues of the level pencil [[2*alpha*I, -C], [I, 0]] against
+    diag(C^*, I), by QZ on the pair (never the standard eigenproblem)."""
+    C = np.asarray(C, dtype=complex)
+    n = C.shape[0]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    R = np.block([[2.0 * alpha * eye, -C], [eye, zero]])
+    S = np.block([[C.conj().T, zero], [zero, eye]])
+    ev = sla.eig(R, S, right=False)
+    ev = ev[np.isfinite(ev)]
+    tol = tol_circle * max(1.0, np.linalg.norm(C, 2))
+    keep = np.abs(np.abs(ev) - 1.0) <= tol
+    return np.sort(np.mod(np.angle(ev[keep]), 2.0 * np.pi))
+
+
+def sublevel_arcs_eigvalsh(A, B, alpha, angles, tol):
+    """Maximal arcs where lambda_max(A cos t + B sin t) < alpha, built from
+    candidate crossing angles with every test an eigvalsh evaluation: an
+    angle is kept iff |lambda_max - alpha| <= tol, a gap between kept
+    angles is sub-level iff lambda_max(midpoint) < alpha.  Arcs are
+    (lo, hi) pairs; an arc through 2*pi has hi <= lo."""
+    ang = np.sort([t for t in angles
+                   if abs(lam_max_trig(A, B, [t])[0] - alpha) <= tol])
+    m = len(ang)
+    if m == 0:
+        return []
+    his = np.append(ang[1:], ang[0] + 2.0 * np.pi)
+    sub = lam_max_trig(A, B, 0.5 * (ang + his) % (2.0 * np.pi)) < alpha
+    if sub.all():
+        return [(ang[0], ang[0])]
+    arcs = []
+    for i in range(m):
+        if sub[i] and not sub[i - 1]:
+            j = i
+            while sub[(j + 1) % m]:
+                j += 1
+            arcs.append((ang[i], ang[(j + 1) % m]))
+    return sorted(arcs)

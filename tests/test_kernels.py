@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from inropt import gallery
 from inropt.errors import NonHermitianInput
@@ -7,7 +8,7 @@ from inropt.kernels import (Basis, HermitianOperator, hermitian_eig,
                             largest_eigpairs, orthonormal_extend,
                             pencil_unit_eigs, spectral_norm_ub)
 
-from oracles import charpoly_eigs, random_hermitian
+from oracles import charpoly_eigs, pencil_unit_angles_qz, random_hermitian
 
 
 def lam_max_H(C, theta):
@@ -109,23 +110,63 @@ class TestPencil:
         ang = pencil_unit_eigs(np.array([[1.0]]), 2.0)
         assert len(ang) == 0  # roots 2 +- sqrt(3) are off the circle
 
+    @staticmethod
+    def check_sound_and_complete(C, theta0, ang):
+        norm_c = np.linalg.norm(C, 2)
+        alpha = lam_max_H(C, theta0)[-1]
+        # soundness: alpha is an eigenvalue of H(theta') at each angle
+        for t in ang:
+            gap = np.min(np.abs(lam_max_H(C, t) - alpha))
+            assert gap <= 1e-6 * max(1.0, norm_c)
+        # completeness: theta0 itself shows up
+        diff = np.abs(np.asarray(ang) - theta0)
+        diff = np.minimum(diff, 2.0 * np.pi - diff)
+        assert diff.min() <= 1e-6
+
     def test_soundness_and_completeness_random(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
-            C = (rng.standard_normal((5, 5))
-                 + 1j * rng.standard_normal((5, 5)))
-            norm_c = np.linalg.norm(C, 2)
+            n = int(rng.integers(3, 13))
+            C = (rng.standard_normal((n, n))
+                 + 1j * rng.standard_normal((n, n)))
             theta0 = rng.uniform(0.0, 2.0 * np.pi)
             alpha = lam_max_H(C, theta0)[-1]
             ang = pencil_unit_eigs(C, alpha)
-            # soundness: alpha is an eigenvalue of H(theta') at each angle
-            for t in ang:
-                gap = np.min(np.abs(lam_max_H(C, t) - alpha))
-                assert gap <= 1e-6 * max(1.0, norm_c)
-            # completeness: theta0 itself shows up
-            diff = np.abs(np.asarray(ang) - theta0)
-            diff = np.minimum(diff, 2.0 * np.pi - diff)
-            assert diff.min() <= 1e-6
+            self.check_sound_and_complete(C, theta0, ang)
+            # same angles as QZ on the pencil itself
+            ref = pencil_unit_angles_qz(C, alpha)
+            assert len(ang) == len(ref)
+            np.testing.assert_allclose(ang, ref, atol=1e-8)
+
+    def test_well_conditioned_c_skips_qz(self, monkeypatch):
+        def no_qz(*args, **kwargs):
+            raise AssertionError("QZ called for a well-conditioned C")
+
+        monkeypatch.setattr(sla, "eig", no_qz)
+        rng = np.random.default_rng(4)
+        C = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        self.check_sound_and_complete(C, 1.0, pencil_unit_eigs(
+            C, lam_max_H(C, 1.0)[-1]))
+
+    def test_singular_c_falls_back_to_qz(self, monkeypatch):
+        calls = []
+        qz = sla.eig
+
+        def counting_qz(*args, **kwargs):
+            calls.append(1)
+            return qz(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "eig", counting_qz)
+        rng = np.random.default_rng(13)
+        for n in (3, 6, 9):
+            C = (rng.standard_normal((n, n))
+                 + 1j * rng.standard_normal((n, n)))
+            C[:, 1] = 0.0  # C^* is exactly singular
+            theta0 = rng.uniform(0.0, 2.0 * np.pi)
+            count = len(calls)
+            ang = pencil_unit_eigs(C, lam_max_H(C, theta0)[-1])
+            assert len(calls) > count
+            self.check_sound_and_complete(C, theta0, ang)
 
 
 class TestOrthonormalExtend:

@@ -6,7 +6,8 @@ from inropt.errors import EmptyLevelSet
 from inropt.levelset import level_intervals, levelset_minimize
 from inropt.results import Status
 
-from oracles import fit_order, lam_max_trig, random_hermitian
+from oracles import (fit_order, lam_max_trig, pencil_unit_angles_qz,
+                     random_hermitian, sublevel_arcs_eigvalsh)
 
 TWO_PI = 2.0 * np.pi
 
@@ -56,6 +57,50 @@ class TestLevelIntervals:
             if min(abs((t - e + np.pi) % TWO_PI - np.pi) for e in ends) < margin:
                 continue
             assert inside(t) == b
+
+
+    @pytest.mark.parametrize("case", ["random", "tridiag"])
+    def test_matches_eigvalsh_classification(self, case):
+        rng = np.random.default_rng(37)
+        if case == "random":
+            Cs = [rng.standard_normal((n, n))
+                  + 1j * rng.standard_normal((n, n)) for n in (3, 5, 8, 12)]
+        else:
+            Cs = [gallery.tridiag_nonsmooth(10)]
+        for C in Cs:
+            A, B = gallery.hermitian_split(C)
+            f = f_of(C)
+            tol = 1e-7 * max(1.0, np.linalg.norm(C, 2))
+            grid = f(np.linspace(0.0, TWO_PI, 2001))
+            fmin, fmax = float(grid.min()), float(grid.max())
+            alphas = [float(f([t])[0]) for t in rng.uniform(0, TWO_PI, 4)]
+            alphas += [fmin + 1e-3 * (fmax - fmin), fmax + 1.0]
+            for alpha in alphas:
+                ref = sublevel_arcs_eigvalsh(
+                    A, B, alpha, pencil_unit_angles_qz(C, alpha), tol)
+                if not ref:
+                    with pytest.raises(EmptyLevelSet):
+                        level_intervals(C, alpha)
+                    continue
+                got = [(iv.lo, iv.hi) for iv in level_intervals(C, alpha)]
+                assert len(got) == len(ref)
+                np.testing.assert_allclose(got, ref, atol=1e-8)
+
+    def test_spurious_candidates_are_filtered(self, monkeypatch):
+        # angles that are not crossings must not change the level set; above
+        # the maximum a kept one would turn it into the whole circle
+        import inropt.levelset as levelset
+        rng = np.random.default_rng(43)
+        C = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        alpha = float(f_of(C)([0.0])[0])
+        clean = level_intervals(C, alpha)
+        bogus = [clean[0].midpoint, (clean[0].hi + 1e-3) % TWO_PI]
+        pencil = levelset.pencil_unit_eigs
+        monkeypatch.setattr(levelset, "pencil_unit_eigs",
+                            lambda C, a: np.sort(np.r_[pencil(C, a), bogus]))
+        assert level_intervals(C, alpha) == clean
+        with pytest.raises(EmptyLevelSet):
+            level_intervals(C, 2.0 * np.linalg.norm(C, 2))
 
 
 class TestLevelsetMinimize:
@@ -117,3 +162,21 @@ class TestLevelsetMinimize:
         _, trace = levelset_minimize(A + 1j * B)
         for l1, l2 in zip(trace.max_lengths, trace.max_lengths[1:]):
             assert l2 <= 0.5 * l1 * (1 + 1e-8) + 1e-14
+
+    def test_false_stop_is_not_converged(self):
+        # With filter_tol below rounding every crossing is rejected and the
+        # level set "vanishes" far above the minimum 0.81189
+        A, B = gallery.cheng_higham7()
+        res, _ = levelset_minimize(A + 1j * B, filter_tol=1e-16)
+        assert res.f_star > 0.82
+        assert res.status is Status.MAX_ITERATIONS
+        assert "not a minimum" in res.note
+
+    def test_converged_stops_are_stationary(self):
+        rng = np.random.default_rng(41)
+        for n in (4, 9, 16):
+            C = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            res, _ = levelset_minimize(C)
+            assert res.status is Status.CONVERGED
+            dist = max(0.0, res.clarke.lo, -res.clarke.hi)
+            assert dist <= 1e-6 * max(1.0, np.linalg.norm(C, 2))

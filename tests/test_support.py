@@ -169,6 +169,26 @@ class TestEigoptMinimize:
         res = eigopt_minimize(P, gamma=-1e-6, tol=1e-10)
         assert res.f_star == pytest.approx(0.0, abs=1e-8)
 
+    @pytest.mark.parametrize("tol", [1e-12, 0.0])
+    def test_clarke_reuses_the_best_evaluation(self, monkeypatch, tol):
+        # tol=0 on the tridiagonal kink ends on the iterate-collision path
+        import inropt.support as support
+        from inropt.param import clarke_interval, top_cluster
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return top_cluster(*args, **kwargs)
+
+        monkeypatch.setattr(support, "top_cluster", counting)
+        P = tridiag_family()
+        res = eigopt_minimize(P, tol=tol)
+        assert len(calls) == res.iterations
+        assert res.omega_star in calls
+        assert res.clarke == clarke_interval(P, res.omega_star)
+        if tol == 0.0:
+            assert res.note == "iterate collision at float resolution"
+
 
 class TestCertificates:
     def test_lower_support_property(self):
