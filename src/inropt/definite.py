@@ -85,26 +85,21 @@ def inner_numerical_radius(C=None, pair=None, method: str = "auto",
     n = A.dim
     if method == "auto":
         method = "support" if below_dense_threshold(n) else "subspace"
+    # Each solver keeps its own default iteration limit.
+    iters = {} if max_iter is None else {"max_iter": max_iter}
     if method == "levelset":
         if not ((A.is_dense and B.is_dense) or below_dense_threshold(n)):
             raise ValueError("levelset method requires dense input")
         Cd = A.dense + 1j * B.dense
-        res, _ = _levelset.levelset_minimize(
-            Cd, tol=tol,
-            max_iter=_levelset.MAX_ITER_DEFAULT if max_iter is None
-            else max_iter)
+        res, _ = _levelset.levelset_minimize(Cd, tol=tol, **iters)
     elif method == "support":
         res = _support.eigopt_minimize(
-            P, gamma=gamma, tol=tol,
-            max_iter=_support.MAX_ITER_DEFAULT if max_iter is None
-            else max_iter,
-            omega0=omega0, eps_cluster=eps_cluster)
+            P, gamma=gamma, tol=tol, omega0=omega0, eps_cluster=eps_cluster,
+            **iters)
     elif method == "subspace":
         res, _ = _subspace.subspace_minimize(
-            P, eps_cluster=eps_cluster, tol=tol,
-            max_iter=_subspace.MAX_ITER_DEFAULT if max_iter is None
-            else max_iter,
-            omega1=omega0, seed=seed, gamma=gamma)
+            P, eps_cluster=eps_cluster, tol=tol, omega1=omega0, seed=seed,
+            gamma=gamma, **iters)
     else:
         raise ValueError(f"unknown method {method!r}")
     f_star = res.f_star

@@ -26,8 +26,12 @@ DENSE_THRESHOLD = 1000
 EIG_RESIDUAL_TOL = 1e-10
 # Hermitian symmetry tolerance, relative to max(1, ||M||_F).
 HERMITIAN_TOL = 1e-12
-# Default discard tolerance for orthonormal_extend.
+# orthonormal_extend drops a vector whose remainder is below this fraction
+# of its norm.
 DROP_TOL = 1e-12
+# pencil_unit_eigs keeps eigenvalues within this tolerance, relative to
+# max(1, ||C||_2), of the unit circle.
+CIRCLE_TOL = 1e-8
 # Below this reciprocal 1-norm condition of C^* the level pencil goes to QZ.
 PENCIL_RCOND_MIN = 1e-8
 
@@ -210,47 +214,26 @@ def largest_eigpairs(M, eps_cluster: float, max_pairs: int):
 
 
 def spectral_norm_ub(M) -> float:
-    """Cheap upper bound on the spectral norm, within a 1.01 factor.
+    """Upper bound on the spectral norm ||M||_2 of a Hermitian matrix.
 
     Dense storage takes the exact extreme of ``|lambda|``; sparse operators
-    run a power iteration on M^2 and inflate by the safeguard factor.
+    take the largest absolute column sum ``||M||_1``, which bounds ``||M||_2``
+    because ``||M||_2 <= sqrt(||M||_1 ||M||_inf) = ||M||_1`` for Hermitian M.
     """
     op = as_hermitian(M, check=False)
     if op.is_dense or below_dense_threshold(op.dim):
         w = np.linalg.eigvalsh(op.dense)
         return float(max(abs(w[0]), abs(w[-1])))
-    # Power iteration on M^2 (robust when the extreme eigenvalues tie in
-    # magnitude); the estimate sqrt(||M^2 x||) increases toward ||M||_2.
-    A = op.raw
-    rng = np.random.default_rng(12345)
-    x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-    x /= np.linalg.norm(x)
-    est = 0.0
-    for _ in range(300):
-        y = A @ x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        z = A @ (y / ny)
-        nz = np.linalg.norm(z)
-        new = float(np.sqrt(ny * nz))
-        if nz == 0.0:
-            return 1.01 * new
-        x = z / nz
-        if est > 0.0 and abs(new - est) <= 1e-6 * est:
-            est = new
-            break
-        est = new
-    return 1.01 * est
+    return float(spla.norm(op.raw, 1))
 
 
-def pencil_unit_eigs(C: np.ndarray, alpha: float, tol_circle: float = 1e-8):
+def pencil_unit_eigs(C: np.ndarray, alpha: float):
     """Angles of near-unit-modulus eigenvalues of the level pencil.
 
     Builds ``R(alpha) = [[2*alpha*I, -C], [I, 0]]`` against
     ``S = diag(C^*, I)`` and returns ``arg(lambda)`` in [0, 2*pi), sorted,
     for every generalized eigenvalue with ``||lambda| - 1|`` below
-    ``tol_circle * max(1, ||C||_2)``.  The angles are candidates only; the
+    ``CIRCLE_TOL * max(1, ||C||_2)``.  The angles are candidates only; the
     caller must keep those where alpha is really the largest eigenvalue of
     the rotated Hermitian part.  A well-conditioned ``C`` takes the standard
     eigenproblem of ``S^{-1} R``, any other the QZ algorithm.
@@ -264,7 +247,7 @@ def pencil_unit_eigs(C: np.ndarray, alpha: float, tol_circle: float = 1e-8):
     zero = np.zeros((n, n))
 
     def on_circle(ev):
-        keep = np.abs(np.abs(ev) - 1.0) <= tol_circle * max(1.0, norm_c)
+        keep = np.abs(np.abs(ev) - 1.0) <= CIRCLE_TOL * max(1.0, norm_c)
         return np.sort(np.mod(np.angle(ev[keep]), 2.0 * np.pi))
 
     # S^{-1} R = [[2*alpha*C^{-*}, -C^{-*} C], [I, 0]]; the solve also gives
@@ -307,12 +290,12 @@ def pencil_unit_eigs(C: np.ndarray, alpha: float, tol_circle: float = 1e-8):
     return angles
 
 
-def orthonormal_extend(V: Basis, W, drop_tol: float = DROP_TOL) -> Basis:
+def orthonormal_extend(V: Basis, W) -> Basis:
     """Extend an orthonormal basis by the span of additional vectors.
 
     Each vector is orthogonalized against the current basis twice
     (re-orthogonalization); vectors whose remainder falls below
-    ``drop_tol`` times their original norm are discarded.
+    ``DROP_TOL`` times their original norm are discarded.
     """
     cols = [np.asarray(V.cols, dtype=complex)]
     count = V.size
@@ -330,7 +313,7 @@ def orthonormal_extend(V: Basis, W, drop_tol: float = DROP_TOL) -> Basis:
                 if block.shape[1]:
                     v -= block @ (block.conj().T @ v)
         nv = np.linalg.norm(v)
-        if nv <= drop_tol * norm0:
+        if nv <= DROP_TOL * norm0:
             continue
         cols.append((v / nv)[:, np.newaxis])
         count += 1

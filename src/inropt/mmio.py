@@ -32,8 +32,8 @@ def read_matrix(path):
     return np.asarray(M)
 
 
-def write_matrix(path, M, comment: str = ""):
+def write_matrix(path, M):
     """Write dense or sparse data with round-trip precision."""
     if not sp.issparse(M):
         M = np.asarray(M)
-    scipy.io.mmwrite(str(path), M, comment=comment, precision=WRITE_PRECISION)
+    scipy.io.mmwrite(str(path), M, precision=WRITE_PRECISION)

@@ -13,6 +13,7 @@ inserts a new support there, and updates the certified lower bound.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -28,7 +29,7 @@ from .results import MinResult, Status
 
 TOL_DEFAULT = 1e-12
 MAX_ITER_DEFAULT = 2000
-# Two iterates closer than this fraction of the domain width are duplicates.
+# Abscissae closer than this fraction of max(1, domain width) are duplicates.
 DUPLICATE_REL = 1e-14
 PERTURB_REL = 1e-12
 
@@ -87,15 +88,11 @@ def two_support_intersection(s1: SupportPoint, s2: SupportPoint, interval):
 class _Gap:
     """One segment between adjacent support abscissae (or a domain edge)."""
 
-    __slots__ = ("lo", "hi", "left", "right", "argmin", "value", "alive")
+    __slots__ = ("lo", "argmin", "value", "alive")
 
     def __init__(self, lo, hi, left: Optional[SupportPoint],
                  right: Optional[SupportPoint]):
-        self.lo, self.hi = lo, hi
-        self.left, self.right = left, right
-        self.alive = True
-        if left is None and right is None:
-            raise ValueError("gap needs at least one bounding support")
+        self.lo, self.alive = lo, True
         if left is None or right is None:
             # Edge segment: the model equals the single bounding quadratic,
             # which is concave, so the minimum sits at an endpoint.
@@ -112,48 +109,71 @@ class _Gap:
 
 
 class PiecewiseModel:
-    """Max of quadratic supports with exact global minimization over [a, b]."""
+    """Max of quadratic supports with exact global minimization over [a, b].
+
+    ``_gaps`` runs parallel to ``supports`` plus one trailing slot: slot i is
+    the segment left of ``supports[i]`` and the last slot ends at b.  A
+    zero-width slot holds None, except the one segment of a one-point
+    domain.  The heap orders the live segments by their model minimum.
+    """
 
     def __init__(self, omega_range, gamma: float):
         self.a, self.b = float(omega_range[0]), float(omega_range[1])
         self.gamma = gamma
         self.supports: list[SupportPoint] = []
         self._keys: list[float] = []
+        self._gaps: list[Optional[_Gap]] = [None]
         self._heap: list = []
         self._seq = itertools.count()
 
-    def _push(self, gap: _Gap):
-        if gap.hi - gap.lo <= 0 and gap.left is not None and gap.right is not None:
-            return
-        heapq.heappush(self._heap, (gap.value, gap.lo, next(self._seq), gap))
+    def near(self, w, others=None) -> bool:
+        """Whether w duplicates a support abscissa (or one of ``others``)."""
+        if others is None:
+            i = bisect.bisect_left(self._keys, w)
+            others = self._keys[max(i - 1, 0):i + 1]
+        tol = DUPLICATE_REL * max(1.0, self.b - self.a)
+        return any(abs(w - x) <= tol for x in others)
+
+    def nudge(self, w):
+        """Move w off its nearest support toward the wider adjacent gap.
+
+        Returns None when the moved point is still a duplicate, i.e. the
+        domain is saturated at float resolution.
+        """
+        keys = self._keys
+        i = bisect.bisect_left(keys, w)
+        if i == len(keys) or (i > 0 and w - keys[i - 1] <= keys[i] - w):
+            i -= 1
+        x = keys[i]
+        lo = keys[i - 1] if i > 0 else self.a
+        hi = keys[i + 1] if i + 1 < len(keys) else self.b
+        step = PERTURB_REL * max(self.b - self.a, 1e-300)
+        w = min(max(x + (step if hi - x >= x - lo else -step), self.a), self.b)
+        return None if self.near(w) else w
 
     def insert(self, s: SupportPoint):
         """Add one support, splitting the gap that contains its abscissa."""
         if not self.a <= s.omega <= self.b:
             raise ValueError("support abscissa outside the domain")
-        idx = np.searchsorted(self._keys, s.omega)
+        if self.near(s.omega):
+            raise ValueError("duplicate support abscissa")
+        idx = bisect.bisect_left(self._keys, s.omega)
         left = self.supports[idx - 1] if idx > 0 else None
         right = self.supports[idx] if idx < len(self.supports) else None
-        tol = DUPLICATE_REL * max(1.0, self.b - self.a)
-        for nb in (left, right):
-            if nb is not None and abs(s.omega - nb.omega) <= tol:
-                raise ValueError("duplicate support abscissa")
-        # retire the gap being split
-        for entry in self._heap:
-            gap = entry[3]
-            if gap.alive and (gap.left is left) and (gap.right is right):
-                gap.alive = False
-                break
-        self.supports.insert(idx, s)
-        self._keys.insert(idx, s.omega)
+        if self._gaps[idx] is not None:
+            self._gaps[idx].alive = False
         lo = left.omega if left is not None else self.a
         hi = right.omega if right is not None else self.b
-        if left is not None or self.a < s.omega:
-            self._push(_Gap(lo, s.omega, left, s))
-        if right is not None or s.omega < self.b:
-            self._push(_Gap(s.omega, hi, s, right))
-        if left is None and right is None and self.a == s.omega == self.b:
-            self._push(_Gap(self.a, self.b, s, None))
+        split = [_Gap(lo, s.omega, left, s) if lo < s.omega else None,
+                 _Gap(s.omega, hi, s, right)
+                 if s.omega < hi or self.a == self.b else None]
+        self._gaps[idx:idx + 1] = split
+        self.supports.insert(idx, s)
+        self._keys.insert(idx, s.omega)
+        for gap in split:
+            if gap is not None:
+                heapq.heappush(self._heap,
+                               (gap.value, gap.lo, next(self._seq), gap))
 
     def peek_min(self):
         """(argmin, value) of the model over the domain; model unchanged."""
@@ -173,8 +193,12 @@ class PiecewiseModel:
 
 def _run_support(eval_fn: Callable[[float], tuple], omega_range, gamma,
                  tol, max_iter, omega0, seeds: Sequence[float] = ()):
+    """Run the support iteration; returns (MinResult, record of the best).
+
+    ``eval_fn(w)`` returns ``(value, slope, record)``; the record of the
+    first strictly lowest value is handed back untouched.
+    """
     a, b = float(omega_range[0]), float(omega_range[1])
-    width = max(b - a, 1e-300)
     if omega0 is None:
         omega0 = 0.5 * (a + b)
     if not a <= omega0 <= b:
@@ -182,76 +206,47 @@ def _run_support(eval_fn: Callable[[float], tuple], omega_range, gamma,
     if gamma is not None and gamma > 0:
         raise InvalidGamma(f"curvature bound must be negative, got {gamma}")
 
-    trace = []
-    u = math.inf
-    best_omega = omega0
-    evaluated: list[tuple[float, float, float]] = []  # (omega, value, slope)
-
-    def evaluate(w):
-        nonlocal u, best_omega
-        val, slope = eval_fn(w)
-        evaluated.append((w, val, slope))
-        if val < u:
-            u, best_omega = val, w
-        return val, slope
-
-    points = [float(omega0)]
-    for s in seeds:
-        s = float(s)
-        if a <= s <= b and all(abs(s - p) > DUPLICATE_REL * width for p in points):
-            points.append(s)
-    for w in points:
-        evaluate(w)
-
+    model = PiecewiseModel((a, b), gamma)
+    points: list[float] = []
+    for w in (omega0, *seeds):
+        w = float(w)
+        if a <= w <= b and not model.near(w, points):
+            points.append(w)
+    rows = [(w, *eval_fn(w)) for w in points]
     if gamma is None or gamma == 0.0:
         # Degenerate curvature: keep the quadratics strictly concave.
-        scale = max(1.0, max(abs(v) for _, v, _ in evaluated))
-        gamma = -1e-8 * scale
-    if gamma >= 0:
-        raise InvalidGamma(f"curvature bound must be negative, got {gamma}")
+        scale = max(1.0, max(abs(val) for _, val, _, _ in rows))
+        model.gamma = -1e-8 * scale
 
-    model = PiecewiseModel((a, b), gamma)
-    for k, (w, val, slope) in enumerate(evaluated):
-        model.insert(SupportPoint(w, val, slope, gamma))
-        trace.append((k, w, val, -math.inf))
-
+    trace = []
+    # omega0 is evaluated first and stays the incumbent until beaten.
+    u, best_omega, best = math.inf, omega0, rows[0][3]
     ell = -math.inf
-    status = Status.MAX_ITERATIONS
-    for _ in range(max_iter):
-        om_next, ell_next = model.peek_min()
+    status, note = Status.MAX_ITERATIONS, ""
+    for k in itertools.count():
+        for w, val, slope, record in rows:
+            if val < u:
+                u, best_omega, best = val, w, record
+            trace.append((len(trace), w, val, ell))
+            model.insert(SupportPoint(w, val, slope, model.gamma))
+        if k >= max_iter:
+            break
+        w, ell_next = model.peek_min()
         ell = max(ell, ell_next)  # max of certified lower bounds is certified
         if u - ell <= tol * max(1.0, abs(u)):
             status = Status.CONVERGED
             break
-        # Duplicate iterate guard: nudge toward the wider adjacent gap.
-        keys = model._keys
-        j = int(np.searchsorted(keys, om_next))
-        nearest = min(
-            (abs(om_next - keys[i]) for i in (j - 1, j) if 0 <= i < len(keys)),
-            default=math.inf)
-        if nearest <= DUPLICATE_REL * width:
-            i = int(np.argmin([abs(om_next - x) for x in keys]))
-            left_gap = keys[i] - (keys[i - 1] if i > 0 else a)
-            right_gap = (keys[i + 1] if i + 1 < len(keys) else b) - keys[i]
-            om_next = keys[i] + (PERTURB_REL * width if right_gap >= left_gap
-                                 else -PERTURB_REL * width)
-            om_next = min(max(om_next, a), b)
-            if any(abs(om_next - x) <= DUPLICATE_REL * width for x in keys):
-                # Domain saturated at float resolution; cannot refine further.
+        if model.near(w):
+            w = model.nudge(w)
+            if w is None:
                 note = "iterate collision at float resolution"
-                res = MinResult(omega_star=float(best_omega), f_star=float(u),
-                                lower_bound=float(ell),
-                                iterations=len(evaluated), trace=trace,
-                                clarke=None, status=Status.MAX_ITERATIONS,
-                                note=note)
-                return res
-        val, slope = evaluate(om_next)
-        trace.append((len(trace), om_next, val, ell))
-        model.insert(SupportPoint(om_next, val, slope, gamma))
+                break
+        rows = [(w, *eval_fn(w))]
 
     return MinResult(omega_star=float(best_omega), f_star=float(u),
-                     lower_bound=float(ell), iterations=len(evaluated),
-                     trace=trace, clarke=None, status=status)
+                     lower_bound=float(ell), iterations=len(trace),
+                     trace=trace, clarke=None, status=status,
+                     note=note), best
 
 
 def eigopt_minimize(P: ParamHermitian, gamma: Optional[float] = None,
@@ -273,20 +268,13 @@ def eigopt_minimize(P: ParamHermitian, gamma: Optional[float] = None,
         A, B = P.terms[0].matrix, P.terms[1].matrix
         gamma = default_gamma_trig(A, B)
 
-    # The record at _run_support's best_omega (same strict rule) supplies the
-    # Clarke interval without evaluating that point again.
-    best = None
-
     def eval_fn(w):
-        nonlocal best
         tc = top_cluster(P, w, eps_cluster)
-        if best is None or tc.lambda_max < best.lambda_max:
-            best = tc
-        return tc.lambda_max, tc.slope
+        return tc.lambda_max, tc.slope, tc
 
     seeds = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2) if P.is_trig else ()
-    res = _run_support(eval_fn, P.omega_range, gamma, tol, max_iter,
-                       omega0, seeds)
+    res, best = _run_support(eval_fn, P.omega_range, gamma, tol, max_iter,
+                             omega0, seeds)
     res.clarke = best.clarke
     return res
 
@@ -301,4 +289,6 @@ def eigopt_minimize_callback(f_and_slope: Callable[[float], tuple],
     ``f_and_slope(w)`` returns ``(value, slope)``; the certified lower bound
     machinery is identical.  No derivative-interval diagnostic is attached.
     """
-    return _run_support(f_and_slope, omega_range, gamma, tol, max_iter, omega0)
+    res, _ = _run_support(lambda w: (*f_and_slope(w), None), omega_range,
+                          gamma, tol, max_iter, omega0)
+    return res

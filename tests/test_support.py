@@ -57,18 +57,40 @@ class TestTwoSupportIntersection:
 
 class TestPiecewiseModel:
     def test_exact_global_minimization(self):
-        # against a dense grid, after every insertion
-        rng = np.random.default_rng(8)
-        gamma = -3.0
-        model = PiecewiseModel((0.0, 2.0 * np.pi), gamma)
+        # against a dense grid, after every insertion; the extra inputs put
+        # supports exactly on the domain ends and on a one-point domain
         f = lambda w: math.cos(w) + 0.3 * math.sin(2 * w)
         df = lambda w: -math.sin(w) + 0.6 * math.cos(2 * w)
-        grid = np.linspace(0.0, 2.0 * np.pi, 10001)
-        for w in rng.uniform(0.0, 2.0 * np.pi, size=12):
-            model.insert(SupportPoint(float(w), f(w), df(w), gamma))
-            om, val = model.peek_min()
-            assert val <= model(grid).min() + 1e-12
-            assert model(np.array([om]))[0] == pytest.approx(val, abs=1e-10)
+        two_pi = 2.0 * np.pi
+        rng = np.random.default_rng(8)
+        inner = list(rng.uniform(0.0, two_pi, size=12))
+        cases = [((0.0, two_pi), inner),
+                 ((0.0, two_pi), [0.0, two_pi] + inner),
+                 ((0.0, two_pi), [two_pi] + inner[:4] + [0.0]),
+                 ((1.0, 1.0), [1.0])]
+        gamma = -3.0
+        for (a, b), points in cases:
+            model = PiecewiseModel((a, b), gamma)
+            grid = np.linspace(a, b, 10001)
+            for w in points:
+                model.insert(SupportPoint(float(w), f(w), df(w), gamma))
+                om, val = model.peek_min()
+                assert a <= om <= b
+                assert val <= model(grid).min() + 1e-12
+                assert model(np.array([om]))[0] == pytest.approx(val,
+                                                                 abs=1e-10)
+
+    def test_near_duplicate_insert_raises(self):
+        gamma = -1.0
+        for a, b in ((0.0, 2.0 * np.pi), (0.0, 1e-3)):
+            model = PiecewiseModel((a, b), gamma)
+            w = 0.5 * (a + b)
+            model.insert(SupportPoint(w, 0.0, 0.0, gamma))
+            for dup in (w, w + 1e-15, w - 1e-15):
+                assert model.near(dup)
+                with pytest.raises(ValueError, match="duplicate"):
+                    model.insert(SupportPoint(dup, 0.0, 0.0, gamma))
+            assert len(model.supports) == 1
 
     def test_lower_bound_is_valid(self):
         gamma = -3.0
@@ -123,6 +145,18 @@ class TestCallbackSolver:
         with pytest.raises(InvalidGamma):
             eigopt_minimize_callback(lambda w: (w, 1.0), (0.0, 1.0),
                                      gamma=0.5)
+
+    def test_narrow_domain_duplicate_ends_on_collision(self):
+        # On a domain narrower than 1 a near-duplicate iterate used to pass
+        # the guard and then make the model insert raise.
+        res = eigopt_minimize_callback(
+            lambda w: (abs(w - 3e-4), math.copysign(1.0, w - 3e-4)),
+            (0.0, 1e-3), -1.0, tol=0.0)
+        assert res.status is Status.MAX_ITERATIONS
+        assert res.note == "iterate collision at float resolution"
+        assert res.iterations == len(res.trace) == 5
+        assert res.lower_bound <= res.f_star <= 1e-16
+        assert res.omega_star == pytest.approx(3e-4, abs=1e-16)
 
     def test_zero_gamma_substituted(self):
         res = eigopt_minimize_callback(
