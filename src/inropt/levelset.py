@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyLevelSet
 from .kernels import hermitian_split, pencil_unit_eigs
-from .param import ParamHermitian, clarke_interval
+from .param import ParamHermitian, top_cluster
 from .results import MinResult, Status
 
 TWO_PI = 2.0 * np.pi
@@ -62,14 +62,6 @@ class LevelSetTrace:
     max_lengths: list = field(default_factory=list)
 
 
-def _hermitian_part(C, theta):
-    return (C * np.exp(-1j * theta) + C.conj().T * np.exp(1j * theta)) / 2.0
-
-
-def _lam_max(C, theta):
-    return float(np.linalg.eigvalsh(_hermitian_part(C, theta))[-1])
-
-
 def _below(H, level):
     """lambda_max(H) < level, by a Cholesky factorization of level*I - H."""
     try:
@@ -89,10 +81,11 @@ def level_intervals(C: np.ndarray, alpha: float,
     merged into maximal circular intervals.  Both tests are Cholesky trials.
     """
     C = np.asarray(C, dtype=complex)
+    P = ParamHermitian.trig(*hermitian_split(C))
     tau = filter_tol * max(1.0, float(np.linalg.norm(C, 2)))
     kept = []
     for t in pencil_unit_eigs(C, alpha):
-        H = _hermitian_part(C, t)
+        H = P.evaluate(t).dense
         if _below(H, alpha + tau) and not _below(H, alpha - tau):
             kept.append(t)
     if not kept:
@@ -106,7 +99,7 @@ def level_intervals(C: np.ndarray, alpha: float,
         lo = ang[i]
         hi = ang[(i + 1) % m] + (TWO_PI if i == m - 1 else 0.0)
         mid = (0.5 * (lo + hi)) % TWO_PI
-        sub.append(_below(_hermitian_part(C, mid), alpha))
+        sub.append(_below(P.evaluate(mid).dense, alpha))
     if not any(sub):
         raise EmptyLevelSet(
             f"no sub-level gap at {alpha!r} (level at or below the minimum)")
@@ -142,10 +135,16 @@ def levelset_minimize(C: np.ndarray, tol: float = TOL_DEFAULT,
     collapsing below angle resolution.
     """
     C = np.asarray(C, dtype=complex)
+    P = ParamHermitian.trig(*hermitian_split(C))
+
+    def lam_max(theta):
+        return float(np.linalg.eigvalsh(P.evaluate(theta).dense)[-1])
+
     trace = LevelSetTrace()
-    r = _lam_max(C, 0.0)
+    r = lam_max(0.0)
     omega_star = 0.0
     trace.estimates.append(r)
+    angles = [0.0]  # where each estimate was evaluated
     status = Status.MAX_ITERATIONS
     note = ""
     for _ in range(max_iter):
@@ -162,20 +161,20 @@ def levelset_minimize(C: np.ndarray, tol: float = TOL_DEFAULT,
             note = "level set collapsed below angle resolution"
             break
         mids = [iv.midpoint for iv in intervals]
-        vals = [_lam_max(C, t) for t in mids]
+        vals = [lam_max(t) for t in mids]
         j = int(np.argmin(vals))
-        r_new, omega_new = vals[j], mids[j]
+        r_new, omega_new = vals[j], float(mids[j])
         trace.estimates.append(r_new)
+        angles.append(omega_new)
         if r_new < r:
-            omega_star = float(omega_new)
+            omega_star = omega_new
         if r - r_new <= tol * max(1.0, abs(r_new)):
             r = min(r, r_new)
             status = Status.CONVERGED
             break
         r = min(r, r_new)
 
-    clarke = clarke_interval(ParamHermitian.trig(*hermitian_split(C)),
-                             omega_star)
+    clarke = top_cluster(P, omega_star).clarke
     # A level set also vanishes when the filter rejects every crossing; only
     # a stop with 0 (nearly) in the derivative interval is a minimum.
     dist = max(0.0, clarke.lo, -clarke.hi)
@@ -186,7 +185,7 @@ def levelset_minimize(C: np.ndarray, tol: float = TOL_DEFAULT,
                 "from the derivative interval")
     result = MinResult(omega_star=omega_star, f_star=float(r),
                        lower_bound=-np.inf, iterations=len(trace.estimates),
-                       trace=[(k, None, rk, -np.inf)
-                              for k, rk in enumerate(trace.estimates, start=1)],
+                       trace=[(k, om, rk, -np.inf) for k, (om, rk) in
+                              enumerate(zip(angles, trace.estimates), start=1)],
                        clarke=clarke, status=status, note=note)
     return result, trace

@@ -52,6 +52,21 @@ class TestInr:
                                                          abs=1e-9)
         assert out["f_star"] == pytest.approx(0.8118872239262367, abs=1e-9)
 
+    @pytest.mark.parametrize("method", ["levelset", "support", "subspace"])
+    def test_trace_rows_share_one_schema(self, ch_files, method):
+        from oracles import lam_max_trig
+        pa, pb = ch_files
+        code, out = run_json("inr", "--pair", pa, pb, "--method", method,
+                             "--trace")
+        assert code == 0
+        A, B = gallery.cheng_higham7()
+        assert out["trace"]
+        for row in out["trace"]:
+            assert set(row) == {"k", "omega", "value", "lower_bound"}
+            assert isinstance(row["omega"], float)
+            want = float(lam_max_trig(A, B, [row["omega"]])[0])
+            assert row["value"] == pytest.approx(want, abs=1e-10)
+
     def test_trace_adds_fields_without_changing_scalars(self, ch_files):
         pa, pb = ch_files
         _, plain = run_json("inr", "--pair", pa, pb, "--method", "support")
