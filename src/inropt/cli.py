@@ -21,6 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
+from . import gallery
+from .definite import (crawford_number, inner_numerical_radius, is_hyperbolic,
+                       nearest_definite_pair, saddle_shift)
+from .errors import ConvergenceFailure, InroptError, VerificationFailure
+from .kernels import hermitian_split
+from .mmio import read_matrix, write_matrix
+from .param import ParamHermitian, top_cluster
+
 SCHEMA = "inropt/1"
 
 EXIT_OK = 0
@@ -56,42 +64,36 @@ def _emit(payload, out_path, fmt="json"):
         text = "\n".join(lines)
     else:
         text = json.dumps(_round15(payload), indent=2)
+    _write(text, out_path)
+
+
+def _write(text, out_path):
     if out_path:
         Path(out_path).write_text(text + "\n")
     else:
         print(text)
 
 
-def _load_operands(args):
-    from .mmio import read_matrix
+def _load_pair(args):
+    """(A, B) from ``--pair``, or the Hermitian split of ``--matrix`` C."""
     if getattr(args, "matrix", None):
         C = read_matrix(args.matrix)
-        if hasattr(C, "toarray"):
-            C = C.toarray()
-        return None, C
-    A = read_matrix(args.pair[0])
-    B = read_matrix(args.pair[1])
-    return (A, B), None
+        return hermitian_split(C.toarray() if hasattr(C, "toarray") else C)
+    return read_matrix(args.pair[0]), read_matrix(args.pair[1])
 
 
 def _solver_opts(args):
-    opts = {"tol": args.tol, "eps_cluster": args.eps_cluster}
-    if args.gamma is not None:
-        opts["gamma"] = args.gamma
-    if args.max_iter is not None:
-        opts["max_iter"] = args.max_iter
-    if args.omega0 is not None:
-        opts["omega0"] = args.omega0
-    if args.seed is not None:
-        opts["seed"] = args.seed
-    return opts
+    """Only the flags given: unset ones take the library defaults."""
+    names = ("tol", "eps_cluster", "gamma", "max_iter", "omega0", "seed")
+    return {k: getattr(args, k) for k in names
+            if getattr(args, k) is not None}
 
 
-def _inr_payload(res, command, method, with_trace):
+def _inr_payload(res, args):
     payload = {
         "schema": SCHEMA,
-        "command": command,
-        "method": method,
+        "command": args.command,
+        "method": args.method,
         "zeta": res.zeta,
         "theta_star": res.theta_star,
         "f_star": res.f_star,
@@ -102,53 +104,38 @@ def _inr_payload(res, command, method, with_trace):
     }
     if res.opt.note:
         payload["note"] = res.opt.note
-    if with_trace:
+    if args.trace or args.format == "csv":
         payload["trace"] = [
-            {"k": k, "omega": om, "value": val,
-             "lower_bound": None if lb is None or lb == -math.inf else lb}
+            {"k": k, "omega": om, "value": val, "lower_bound": lb}
             for (k, om, val, lb) in res.opt.trace
         ]
     return payload
 
 
 def _status_code(res):
-    from .results import Status
-    return EXIT_OK if res.opt.status is Status.CONVERGED else EXIT_NOT_CONVERGED
+    return EXIT_OK if res.opt.converged else EXIT_NOT_CONVERGED
 
 
 def cmd_inr(args):
-    from .definite import inner_numerical_radius
-    pair, C = _load_operands(args)
-    res = inner_numerical_radius(C=C, pair=pair, method=args.method,
+    res = inner_numerical_radius(pair=_load_pair(args), method=args.method,
                                  **_solver_opts(args))
-    with_trace = args.trace or args.format == "csv"
-    _emit(_inr_payload(res, "inr", args.method, with_trace), args.out,
-          args.format)
+    _emit(_inr_payload(res, args), args.out, args.format)
     return _status_code(res)
 
 
 def cmd_definite(args):
-    from .definite import crawford_number
-    pair, C = _load_operands(args)
-    if pair is None:
-        from .kernels import hermitian_split
-        pair = hermitian_split(C)
-    cr = crawford_number(pair[0], pair[1], method=args.method,
+    cr = crawford_number(*_load_pair(args), method=args.method,
                          **_solver_opts(args))
-    with_trace = args.trace or args.format == "csv"
-    payload = _inr_payload(cr.witness, "definite", args.method, with_trace)
+    payload = _inr_payload(cr.witness, args)
     payload.update({"is_definite": cr.is_definite, "crawford": cr.gamma})
     _emit(payload, args.out, args.format)
     return _status_code(cr.witness)
 
 
 def cmd_distance(args):
-    from .definite import nearest_definite_pair
-    from .mmio import read_matrix, write_matrix
-    A = read_matrix(args.pair[0])
-    B = read_matrix(args.pair[1])
-    rep = nearest_definite_pair(A, B, delta=args.delta, method=args.method,
-                                variant=args.variant, **_solver_opts(args))
+    rep = nearest_definite_pair(*_load_pair(args), delta=args.delta,
+                                method=args.method, variant=args.variant,
+                                **_solver_opts(args))
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     files = {}
@@ -173,30 +160,23 @@ def cmd_distance(args):
 
 
 def cmd_hyperbolic(args):
-    from .definite import is_hyperbolic
-    from .mmio import read_matrix
     if args.qep_mass_spring is not None:
-        from .gallery import qep_mass_spring
-        Aq, Bq, Cq = qep_mass_spring(args.qep_mass_spring, args.beta)
+        Aq, Bq, Cq = gallery.qep_mass_spring(args.qep_mass_spring, args.beta)
     else:
         Aq, Bq, Cq = (read_matrix(p) for p in args.qep)
     hyp, wit = is_hyperbolic(Aq, Bq, Cq, method=args.method,
                              **_solver_opts(args))
-    with_trace = args.trace or args.format == "csv"
-    payload = _inr_payload(wit, "hyperbolic", args.method, with_trace)
+    payload = _inr_payload(wit, args)
     payload["hyperbolic"] = hyp
-    payload["crawford"] = wit.zeta if wit.f_star < 0 else 0.0
+    payload["crawford"] = wit.zeta if hyp else 0.0
     _emit(payload, args.out, args.format)
     return _status_code(wit)
 
 
 def cmd_saddle(args):
-    from .definite import saddle_shift
-    from .mmio import read_matrix
     if args.synthetic is not None:
-        from .gallery import synthetic_saddle
         n, m = args.synthetic
-        S, _ = synthetic_saddle(n, m, args.seed or 0)
+        S, _ = gallery.synthetic_saddle(n, m, args.seed or 0)
     else:
         if args.blocks is None:
             print("error: --blocks N M is required with --matrix",
@@ -220,8 +200,6 @@ def cmd_saddle(args):
 
 
 def cmd_gallery(args):
-    from . import gallery
-    from .mmio import write_matrix
     params = {}
     for kv in args.param or []:
         key, _, value = kv.partition("=")
@@ -248,19 +226,14 @@ def cmd_gallery(args):
 
 
 def cmd_fov(args):
-    from .kernels import hermitian_split
-    from .param import ParamHermitian, top_cluster
-    pair, C = _load_operands(args)
-    if C is None:
-        C = pair[0] + 1j * pair[1]
-        if hasattr(C, "toarray"):
-            C = C.toarray()
-    C = np.asarray(C, dtype=complex)
+    A, B = _load_pair(args)
     m = args.samples
     if m < 3:
         print("error: --samples must be >= 3", file=sys.stderr)
         return EXIT_ERROR
-    P = ParamHermitian.trig(*hermitian_split(C))
+    P = ParamHermitian.trig(A, B)
+    C = A + 1j * B
+    C = np.asarray(C.toarray() if hasattr(C, "toarray") else C, dtype=complex)
     rows = []
     boundary = []
     for i in range(m):
@@ -278,21 +251,18 @@ def cmd_fov(args):
     for kind, th, re, im in rows:
         tht = "" if th == "" else f"{th:.15g}"
         lines.append(f"{kind},{tht},{re:.15g},{im:.15g}")
-    text = "\n".join(lines)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _write("\n".join(lines), args.out)
     return EXIT_OK
 
 
-def _add_solver_flags(p, with_method=True):
-    if with_method:
-        p.add_argument("--method", default="auto",
-                       choices=["auto", "levelset", "support", "subspace"])
-    p.add_argument("--tol", type=float, default=1e-12)
+def _add_solver_flags(p):
+    p.add_argument("--method", default="auto",
+                   choices=["auto", "levelset", "support", "subspace"])
+    p.add_argument("--tol", type=float, default=None,
+                   help="stopping tolerance (library default 1e-12)")
     p.add_argument("--eps-cluster", dest="eps_cluster", type=float,
-                   default=1e-6)
+                   default=None,
+                   help="eigenvalue cluster width (library default 1e-6)")
     p.add_argument("--gamma", type=float, default=None,
                    help="override the curvature lower bound")
     p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
@@ -377,7 +347,6 @@ def build_parser():
 
 
 def main(argv=None):
-    from .errors import InroptError, VerificationFailure
     ap = build_parser()
     args = ap.parse_args(argv)
 
@@ -398,14 +367,12 @@ def main(argv=None):
                       "positive integer", file=sys.stderr)
         try:
             return args.fn(args)
-        except VerificationFailure as exc:
+        except (InroptError, ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VERIFICATION
-        except InroptError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            if isinstance(exc, VerificationFailure):
+                return EXIT_VERIFICATION
+            if isinstance(exc, ConvergenceFailure):
+                return EXIT_NOT_CONVERGED
             return EXIT_ERROR
 
 

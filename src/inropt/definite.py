@@ -16,8 +16,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NotPositiveDefiniteMass, VerificationFailure
+from .gallery import qep_linearization
 from .kernels import (as_hermitian, below_dense_threshold, hermitian_eig,
-                      hermitian_split)
+                      hermitian_split, is_pd)
 from .param import EPS_CLUSTER_DEFAULT, ParamHermitian
 from .results import MinResult
 from . import levelset as _levelset
@@ -160,12 +161,11 @@ def nearest_definite_pair(A, B, delta: float, method: str = "auto",
         raise ValueError("delta must be positive")
     if variant not in ("clip", "uniform"):
         raise ValueError("variant must be 'clip' or 'uniform'")
-    Ah = as_hermitian(A).dense.copy()
-    Bh = as_hermitian(B).dense.copy()
-    res = inner_numerical_radius(pair=(Ah, Bh), method=method, **opts)
-    theta = res.theta_star
-    gamma_before = res.zeta if res.f_star < 0 else 0.0
-    H = Ah * np.cos(theta) + Bh * np.sin(theta)
+    Ah = as_hermitian(A).dense
+    Bh = as_hermitian(B).dense
+    cr = crawford_number(Ah, Bh, method=method, **opts)
+    theta = cr.witness.theta_star
+    H, _ = rotate_pair(Ah, Bh, theta)
     dec = hermitian_eig((H + H.conj().T) / 2.0)
     lam1 = dec.values[0]
     distance = max(delta + lam1, 0.0)
@@ -185,7 +185,7 @@ def nearest_definite_pair(A, B, delta: float, method: str = "auto",
     scale = max(1.0, float(np.linalg.norm(np.hstack([Ah, Bh]), 2)))
     stacked = np.hstack([dA, dB])
     pert_norm = float(np.linalg.norm(stacked, 2)) if distance > 0 else 0.0
-    target = max(delta, gamma_before)
+    target = max(delta, cr.gamma)
     checks = [
         ("perturbation norm equals the distance",
          abs(pert_norm - distance) <= 1e-8 * scale),
@@ -210,13 +210,9 @@ def is_hyperbolic(Aq, Bq, Cq, method: str = "auto", **opts):
     structured pair built from the three coefficients.  Returns
     ``(hyperbolic, witness)``.
     """
-    Aq_d = Aq.toarray() if sp.issparse(Aq) else np.asarray(Aq)
-    try:
-        np.linalg.cholesky(Aq_d)
-    except np.linalg.LinAlgError as exc:
+    if not is_pd(Aq):
         raise NotPositiveDefiniteMass(
-            "leading QEP coefficient is not positive definite") from exc
-    from .gallery import qep_linearization
+            "leading QEP coefficient is not positive definite")
     A1, B1 = qep_linearization(Aq, Bq, Cq)
     cr = crawford_number(A1, B1, method=method, **opts)
     return cr.is_definite, cr.witness
@@ -244,15 +240,10 @@ def saddle_shift(S, n: int, m: int, method: str = "auto", **opts):
     if abs(np.sin(phi_shift)) < 1e-300:
         raise VerificationFailure("degenerate boundary angle")
     mu = np.cos(phi_shift) / np.sin(phi_shift)
-    M = (Sop.dense - mu * (J.toarray() if sp.issparse(J) else J))
+    M = Sop.dense - mu * np.diag(signs)
     M = (M + M.conj().T) / 2.0
-    try:
-        np.linalg.cholesky(M)
-        pd = True
-    except np.linalg.LinAlgError:
-        pd = False
     lam_min = float(np.linalg.eigvalsh(M)[0])
-    if not pd and lam_min <= 0.0:
+    if not is_pd(M) and lam_min <= 0.0:
         raise VerificationFailure(
             f"definite pair but S - mu*J has lambda_min = {lam_min:.3e}")
     return float(mu), lam_min

@@ -30,7 +30,7 @@ class DegenerateSupports(InroptError):
     """Two quadratic supports coincide on the query interval."""
 
 
-class ReducedSolveFailure(InroptError):
+class ReducedSolveFailure(ConvergenceFailure):
     """The inner small-scale solver of the subspace loop did not converge."""
 
 

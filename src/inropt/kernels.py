@@ -158,6 +158,15 @@ def hermitian_eig(M) -> EigDecomposition:
     return EigDecomposition(values=w[::-1].copy(), vectors=V[:, ::-1].copy())
 
 
+def is_pd(M) -> bool:
+    """Positive definiteness of a Hermitian matrix, by Cholesky."""
+    try:
+        np.linalg.cholesky(M.toarray() if sp.issparse(M) else M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _residual_check(M, vals, vecs, norm_scale):
     R = M @ vecs - vecs * vals[np.newaxis, :]
     res = np.linalg.norm(R, axis=0)

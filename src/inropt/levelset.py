@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyLevelSet
-from .kernels import hermitian_split, pencil_unit_eigs
+from .kernels import hermitian_split, is_pd, pencil_unit_eigs
 from .param import ParamHermitian, top_cluster
 from .results import MinResult, Status
 
@@ -63,12 +63,8 @@ class LevelSetTrace:
 
 
 def _below(H, level):
-    """lambda_max(H) < level, by a Cholesky factorization of level*I - H."""
-    try:
-        np.linalg.cholesky(level * np.eye(len(H)) - H)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    """lambda_max(H) < level: level*I - H is positive definite."""
+    return is_pd(level * np.eye(len(H)) - H)
 
 
 def level_intervals(C: np.ndarray, alpha: float,

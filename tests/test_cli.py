@@ -76,6 +76,24 @@ class TestInr:
         assert tr
         assert plain == traced
 
+    def test_csv_format(self, ch_files):
+        pa, pb = ch_files
+        argv = ["inr", "--pair", pa, pb, "--method", "levelset"]
+        code, out = run_cli(*argv, "--format", "csv")
+        _, traced = run_json(*argv, "--trace")
+        assert code == 0
+        lines = out.splitlines()
+        comments = [ln for ln in lines if ln.startswith("# ")]
+        assert comments == lines[:len(comments)]
+        assert "# command=inr" in comments
+        assert lines[len(comments)] == "k,omega,value,lower_bound"
+        rows = list(csv.reader(lines[len(comments) + 1:]))
+        assert len(rows) == len(traced["trace"])
+        for row, want in zip(rows, traced["trace"]):
+            assert int(row[0]) == want["k"]
+            assert float(row[2]) == want["value"]
+            assert row[3] == ""
+
     def test_determinism(self, ch_files):
         pa, pb = ch_files
         _, out1 = run_cli("inr", "--pair", pa, pb, "--method", "support")
@@ -107,6 +125,33 @@ class TestInr:
         assert noted.out == plain.out
         assert noted.err == f"note: INR_OPT_THREADS ignored: {reason}\n"
 
+    @pytest.mark.parametrize("target", ["reduced_solve", "eigensolver"])
+    def test_raised_nonconvergence_exit_code(self, ch_files, monkeypatch,
+                                             capsys, target):
+        import inropt.param
+        import inropt.support
+        from inropt.errors import ConvergenceFailure
+        from inropt.results import MinResult, Status
+
+        def stalled_reduced_solve(P, **kw):
+            return MinResult(omega_star=0.0, f_star=1.0, lower_bound=0.0,
+                             iterations=1, status=Status.MAX_ITERATIONS)
+
+        def failed_eigensolver(*a, **kw):
+            raise ConvergenceFailure("Lanczos did not converge")
+
+        if target == "reduced_solve":
+            monkeypatch.setattr(inropt.support, "eigopt_minimize",
+                                stalled_reduced_solve)
+        else:
+            monkeypatch.setattr(inropt.param, "largest_eigpairs",
+                                failed_eigensolver)
+        pa, pb = ch_files
+        code = main(["inr", "--pair", pa, pb, "--method", "subspace"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_parse_error_exit_code(self, capsys):
         code = main(["inr", "--matrix", "/nonexistent/x.mtx"])
         assert code == 1
@@ -122,6 +167,18 @@ class TestDefinite:
         assert code == 0
         assert out["is_definite"] is True
         assert out["crawford"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_matrix_matches_its_hermitian_split(self, tmp_path):
+        C = gallery.tridiag_nonsmooth(10)
+        A, B = gallery.hermitian_split(C)
+        pc, pa, pb = (tmp_path / f"{k}.mtx" for k in "cab")
+        write_matrix(pc, C)
+        write_matrix(pa, A)
+        write_matrix(pb, B)
+        code_m, out_m = run_cli("definite", "--matrix", str(pc))
+        code_p, out_p = run_cli("definite", "--pair", str(pa), str(pb))
+        assert code_m == code_p == 0
+        assert out_m == out_p
 
     def test_indefinite_pair(self, ch_files):
         pa, pb = ch_files

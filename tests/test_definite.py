@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from inropt import gallery
 from inropt.definite import (crawford_number, eigenpair_backmap,
@@ -9,7 +10,7 @@ from inropt.definite import (crawford_number, eigenpair_backmap,
                              nearest_definite_pair, rotate_pair, saddle_shift)
 from inropt.errors import NotPositiveDefiniteMass
 
-from oracles import random_hermitian
+from oracles import grid_min_trig, random_hermitian, random_trig_pair
 
 TWO_PI = 2.0 * np.pi
 
@@ -99,6 +100,22 @@ class TestCrawfordNumber:
                                              np.zeros((2, 2)))
         assert not definite
         assert gamma == 0.0
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=25)
+    @given(n=st.integers(2, 8), real=st.booleans(),
+           shift=st.floats(-1.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_methods_agree_with_grid_oracle(self, n, real, shift, seed):
+        A, B = random_trig_pair(n, np.random.default_rng(seed), real=real)
+        A = A + shift * np.eye(n)
+        _, oracle = grid_min_trig(A, B, npts=20001)
+        s = max(1.0, abs(oracle))
+        for method in ("levelset", "support", "subspace"):
+            cr = crawford_number(A, B, method=method)
+            assert cr.witness.opt.lower_bound <= oracle + 1e-12 * s
+            assert abs(cr.witness.f_star - oracle) <= 1e-8 * s
+            if abs(oracle) > 1e-8 * s:
+                assert cr.is_definite == (oracle < 0)
 
 
 class TestNearestDefinitePair:
