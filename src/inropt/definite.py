@@ -165,7 +165,8 @@ def nearest_definite_pair(A, B, delta: float, method: str = "auto",
     Bh = as_hermitian(B).dense
     cr = crawford_number(Ah, Bh, method=method, **opts)
     theta = cr.witness.theta_star
-    H, _ = rotate_pair(Ah, Bh, theta)
+    # The A part of rotate_pair(Ah, Bh, theta), without its checks and B part.
+    H = Ah * np.cos(theta) + Bh * np.sin(theta)
     dec = hermitian_eig((H + H.conj().T) / 2.0)
     lam1 = dec.values[0]
     distance = max(delta + lam1, 0.0)

@@ -2,7 +2,9 @@
 
 Everything downstream (the parameterized family, the three optimizers, the
 definiteness layer) goes through the small set of operations in this module:
-Hermitian eigendecomposition, clustered largest-eigenpair extraction,
+Hermitian eigendecomposition, positive-definiteness tests (Cholesky for
+dense, symmetric LDL^T for sparse storage), clustered largest-eigenpair
+extraction (certified shift-invert Lanczos on large sparse operators),
 unit-circle pencil eigenvalues, and orthonormal basis extension.
 
 All types are immutable after construction and safe to share across threads;
@@ -24,6 +26,9 @@ from .errors import ConvergenceFailure, NonHermitianInput, SingularPencil
 DENSE_THRESHOLD = 1000
 # Residual tolerance for accepted eigenpairs, relative to ||M||_2.
 EIG_RESIDUAL_TOL = 1e-10
+# The sparse path brackets lambda_max to this width, relative to ||M||_1,
+# before shift-invert Lanczos.
+SHIFT_REL_WIDTH = 1e-3
 # Hermitian symmetry tolerance, relative to max(1, ||M||_F).
 HERMITIAN_TOL = 1e-12
 # orthonormal_extend drops a vector whose remainder is below this fraction
@@ -159,12 +164,39 @@ def hermitian_eig(M) -> EigDecomposition:
 
 
 def is_pd(M) -> bool:
-    """Positive definiteness of a Hermitian matrix, by Cholesky."""
+    """Positive definiteness of a Hermitian matrix, dense or sparse.
+
+    Dense input takes Cholesky; sparse input takes the symmetric LDL^T
+    factorization of :func:`_ldl`.
+    """
+    if sp.issparse(M):
+        return _ldl(M) is not None
     try:
-        np.linalg.cholesky(M.toarray() if sp.issparse(M) else M)
+        np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _ldl(M):
+    """SuperLU factor of a sparse Hermitian M when M is positive definite.
+
+    The factorization uses a fill-reducing symmetric ordering and takes
+    every pivot from the diagonal, so it is M's LDL^T (U = D L^*) exactly
+    when no row was pivoted away from its column.  By Sylvester's law of
+    inertia M is then positive definite exactly when every pivot is
+    positive.  A singular factorization, or any pivoting, returns None.
+    """
+    try:
+        lu = spla.splu(sp.csc_matrix(M), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular
+        return None
+    if (np.array_equal(lu.perm_r, lu.perm_c)
+            and np.all(lu.U.diagonal().real > 0.0)):
+        return lu
+    return None
 
 
 def _residual_check(M, vals, vecs, norm_scale):
@@ -180,7 +212,9 @@ def largest_eigpairs(M, eps_cluster: float, max_pairs: int):
     and every further value lies within ``eps_cluster`` of it (capped at
     ``max_pairs``).  Dense storage, or any operator below the dense
     threshold, goes through the full decomposition; larger sparse operators
-    use restarted Lanczos with verified residuals.
+    take the certified shift-invert Lanczos of :func:`_top_eigpairs_sparse`,
+    which raises ConvergenceFailure unless the largest eigenvalue is
+    certified.
     """
     if max_pairs < 1:
         raise ValueError("max_pairs must be >= 1")
@@ -190,36 +224,70 @@ def largest_eigpairs(M, eps_cluster: float, max_pairs: int):
         dec = hermitian_eig(op)
         vals, vecs = dec.values, dec.vectors
     else:
-        k = min(max_pairs + 1, n - 1)
-        vals = vecs = None
-        norm_ub = spectral_norm_ub(op)
-        ncv = min(n, max(4 * k + 1, 40))
-        # A fixed start vector makes repeated calls return the same bits.
-        v0 = np.random.default_rng(12345).standard_normal(n).astype(
-            op.raw.dtype)
-        last_exc = None
-        for attempt in range(3):
-            try:
-                w, V = spla.eigsh(op.raw, k=k, which="LA", tol=0,
-                                  ncv=min(n, ncv * (attempt + 1)),
-                                  maxiter=200 * n, v0=v0)
-            except spla.ArpackNoConvergence as exc:
-                last_exc = exc
-                continue
-            order = np.argsort(w)[::-1]
-            w, V = w[order], V[:, order]
-            if _residual_check(op.raw, w, V, norm_ub):
-                vals, vecs = w, V
-                break
-            last_exc = ConvergenceFailure("eigenpair residuals above tolerance")
-        if vals is None:
-            raise ConvergenceFailure(
-                f"Lanczos did not converge after restarts: {last_exc}")
+        vals, vecs = _top_eigpairs_sparse(op, min(max_pairs + 1, n - 1))
     keep = 1
     while (keep < min(max_pairs, len(vals))
            and vals[0] - vals[keep] <= eps_cluster):
         keep += 1
     return vals[:keep].copy(), vecs[:, :keep].copy()
+
+
+def _top_eigpairs_sparse(op: HermitianOperator, k: int):
+    """The k largest eigenpairs of a sparse Hermitian operator, descending.
+
+    1. Bracket: bisect sigma on PD tests of ``sigma*I - M`` between
+       ``max_i M_ii <= lambda_max`` and ``||M||_1 >= lambda_max`` down to a
+       width of ``SHIFT_REL_WIDTH * ||M||_1``, keeping the factor at the
+       upper end, where ``sigma > lambda_max`` is certified.
+    2. Solve: Lanczos on ``(sigma*I - M)^{-1}``, whose largest eigenvalues
+       ``1/(sigma - lambda)`` belong to the largest eigenvalues of M and are
+       well separated even when M's are clustered.
+    3. Eigenvalues: Rayleigh quotients ``v^* M v``, with verified residuals.
+    4. Certificate: ``(lambda_0 + EIG_RESIDUAL_TOL*||M||_1)*I - M`` must be
+       positive definite, so by Sylvester's law of inertia no eigenvalue
+       lies above the reported one.
+    """
+    M = op.raw
+    n = op.dim
+    eye = sp.identity(n, dtype=M.dtype, format="csr")
+    norm1 = spectral_norm_ub(op)
+    scale = norm1 or 1.0  # the zero matrix still needs a positive width
+    width = SHIFT_REL_WIDTH * scale
+    # Diagonal entries are Rayleigh quotients; hi is past ||M||_1.
+    lo, hi = float(M.diagonal().real.max()), norm1 + width
+    lu = None
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        trial = _ldl(mid * eye - M)
+        if trial is None:
+            lo = mid
+        else:
+            hi, lu = mid, trial
+    if lu is None:
+        lu = _ldl(hi * eye - M)
+        if lu is None:
+            raise ConvergenceFailure(
+                f"no positive definite shift found above {lo:.17g}")
+    inverse = spla.LinearOperator(M.shape, matvec=lu.solve, dtype=M.dtype)
+    # A fixed start vector makes repeated calls return the same bits.
+    v0 = np.random.default_rng(12345).standard_normal(n).astype(M.dtype)
+    try:
+        _, V = spla.eigsh(inverse, k=k, which="LA", tol=0,
+                          ncv=min(n, max(4 * k + 1, 40)), maxiter=200 * n,
+                          v0=v0)
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceFailure(
+            f"shift-invert Lanczos did not converge: {exc}") from exc
+    vals = np.einsum("ij,ij->j", V.conj(), M @ V).real
+    order = np.argsort(vals)[::-1]
+    vals, V = vals[order], V[:, order]
+    if not _residual_check(M, vals, V, norm1):
+        raise ConvergenceFailure("eigenpair residuals above tolerance")
+    if _ldl((vals[0] + EIG_RESIDUAL_TOL * scale) * eye - M) is None:
+        raise ConvergenceFailure(
+            f"inertia certificate failed: an eigenvalue lies above the "
+            f"reported largest {vals[0]:.17g}")
+    return vals, V
 
 
 def spectral_norm_ub(M) -> float:

@@ -247,6 +247,33 @@ class TestHyperbolicSaddle:
         assert code == 0
         assert out["hyperbolic"] is False
 
+    def test_missed_top_eigenvalue_fails_certificate(self, monkeypatch,
+                                                    capsys):
+        # Lanczos that loses the top pair returns true eigenpairs, so only
+        # the inertia certificate can tell that lambda_max is wrong
+        import scipy.sparse.linalg as spla
+        from inropt.errors import ConvergenceFailure
+        from inropt.kernels import largest_eigpairs
+
+        eigsh = spla.eigsh
+
+        def eigsh_without_top(A, k, **kw):
+            w, V = eigsh(A, k=k + 1, **kw)  # ascending: the top pair is last
+            return w[:-1], V[:, :-1]
+
+        monkeypatch.setattr(spla, "eigsh", eigsh_without_top)
+        A1, B1 = gallery.qep_linearization(*gallery.qep_mass_spring(500,
+                                                                    0.524))
+        with pytest.raises(ConvergenceFailure, match="inertia certificate"):
+            largest_eigpairs(A1 + B1, eps_cluster=1e-6, max_pairs=10)
+        code = main(["hyperbolic", "--qep-mass-spring", "500",
+                     "--beta", "0.524"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+
     def test_saddle_synthetic(self):
         code, out = run_json("saddle", "--synthetic", "20", "8",
                              "--seed", "3", "--method", "support")

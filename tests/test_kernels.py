@@ -5,11 +5,20 @@ import scipy.sparse as sp
 
 from inropt import gallery
 from inropt.errors import NonHermitianInput
-from inropt.kernels import (Basis, HermitianOperator, hermitian_eig,
+from inropt.kernels import (Basis, HermitianOperator, hermitian_eig, is_pd,
                             largest_eigpairs, orthonormal_extend,
                             pencil_unit_eigs, spectral_norm_ub)
 
 from oracles import charpoly_eigs, pencil_unit_angles_qz, random_hermitian
+
+
+def permuted_qep_matrix(beta, omega, seed):
+    """cos(w) A1 + sin(w) B1 of the n=1000 mass-spring QEP linearization
+    under a seeded symmetric permutation, which destroys its band."""
+    A1, B1 = gallery.qep_linearization(*gallery.qep_mass_spring(500, beta))
+    M = (np.cos(omega) * A1 + np.sin(omega) * B1).tocsr()
+    p = np.random.default_rng(seed).permutation(M.shape[0])
+    return M[p][:, p]
 
 
 def lam_max_H(C, theta):
@@ -84,6 +93,40 @@ class TestLargestEigpairs:
         r = P @ vecs[:, 0] - vals[0] * vecs[:, 0]
         assert np.linalg.norm(r) <= 1e-9 * abs(vals[0])
 
+    def test_permuted_qep_cluster_vs_dense(self):
+        for beta, omega in ((0.512, 1.0), (0.524, 1.9)):
+            M = permuted_qep_matrix(beta, omega, seed=2)
+            dense = np.linalg.eigvalsh(M.toarray())[::-1]
+            eps = 1e-4
+            vals, vecs = largest_eigpairs(M, eps_cluster=eps, max_pairs=10)
+            expected = min(10, int(np.sum(dense[0] - dense <= eps)))
+            assert len(vals) == expected > 1
+            np.testing.assert_allclose(vals, dense[:expected], rtol=0,
+                                       atol=1e-12)
+            R = M @ vecs - vecs * vals[np.newaxis, :]
+            assert np.linalg.norm(R, axis=0).max() <= 1e-10
+
+    def test_double_top_eigenvalue_of_complex_block_copy(self):
+        # blockdiag(X, X) with X complex Hermitian: the top eigenvalue is
+        # double, and a single Krylov sequence sees one copy only in exact
+        # arithmetic; both must come back in the cluster
+        rng = np.random.default_rng(3)
+        m = 600
+        off = rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1)
+        X = sp.diags([off.conj(), rng.standard_normal(m), off], [-1, 0, 1])
+        M = sp.block_diag([X, X]).tocsr()
+        p = rng.permutation(2 * m)
+        M = M[p][:, p]
+        dense = np.linalg.eigvalsh(M.toarray())[::-1]
+        assert dense[0] - dense[1] <= 1e-12 < dense[1] - dense[2]
+        vals, vecs = largest_eigpairs(M, eps_cluster=1e-8, max_pairs=3)
+        assert len(vals) == 2
+        np.testing.assert_allclose(vals, dense[:2], rtol=0, atol=1e-12)
+        R = M @ vecs - vecs * vals[np.newaxis, :]
+        assert np.linalg.norm(R, axis=0).max() <= 1e-10
+        # two independent directions of the two-dimensional eigenspace
+        assert np.linalg.svd(vecs, compute_uv=False)[-1] >= 0.5
+
     def test_lanczos_path_is_deterministic(self):
         # 1024 x 1024 sparse Laplacian takes the Lanczos path; repeated
         # calls must return the same bits
@@ -92,6 +135,45 @@ class TestLargestEigpairs:
         v2, V2 = largest_eigpairs(P, eps_cluster=1e-6, max_pairs=3)
         assert np.array_equal(v1, v2)
         assert np.array_equal(V1, V2)
+
+
+class TestIsPd:
+    def test_sparse_pd(self):
+        assert is_pd(gallery.poisson2d(32))
+
+    def test_sparse_indefinite(self):
+        P = gallery.poisson2d(32)
+        assert not is_pd(P - 4.0 * sp.identity(P.shape[0]))
+
+    def test_sparse_singular(self):
+        # Laplacian of a path: positive semidefinite, null vector of ones
+        n = 1000
+        L = sp.diags([-np.ones(n - 1), np.r_[1.0, np.full(n - 2, 2.0), 1.0],
+                      -np.ones(n - 1)], [-1, 0, 1]).tocsr()
+        p = np.random.default_rng(0).permutation(n)
+        L = L[p][:, p]
+        assert not is_pd(L)
+        assert is_pd(L + 1e-3 * sp.identity(n))
+
+    def test_zero_diagonal_needs_pivoting(self):
+        # a permuted [[0, 1], [1, 0]] block: no diagonal pivot exists there
+        n = 1000
+        M = sp.lil_matrix(sp.identity(n))
+        M[0, 0] = M[1, 1] = 0.0
+        M[0, 1] = M[1, 0] = 1.0
+        p = np.random.default_rng(1).permutation(n)
+        M = M.tocsr()[p][:, p]
+        assert not is_pd(M)
+        assert not is_pd(M.toarray())
+
+    def test_agrees_with_dense_cholesky_on_permuted_qep(self):
+        n = 1000
+        for beta, omega in ((0.500, 0.3), (0.512, 1.0), (0.528, 4.0)):
+            M = permuted_qep_matrix(beta, omega, seed=5)
+            top = np.linalg.eigvalsh(M.toarray())[-1]
+            for shift in (-1e-6, 1e-6, 0.1):
+                S = (top + shift) * sp.identity(n) - M
+                assert is_pd(S) == is_pd(S.toarray()) == (shift > 0)
 
 
 class TestPencil:
