@@ -84,7 +84,7 @@ def _load_pair(args):
 
 def _solver_opts(args):
     """Only the flags given: unset ones take the library defaults."""
-    names = ("tol", "eps_cluster", "gamma", "max_iter", "omega0", "seed")
+    names = ("tol", "eps_cluster", "gamma", "max_iter", "omega0")
     return {k: getattr(args, k) for k in names
             if getattr(args, k) is not None}
 
@@ -176,12 +176,10 @@ def cmd_hyperbolic(args):
 def cmd_saddle(args):
     if args.synthetic is not None:
         n, m = args.synthetic
-        S, _ = gallery.synthetic_saddle(n, m, args.seed or 0)
+        S, _ = gallery.synthetic_saddle(n, m, args.seed)
     else:
         if args.blocks is None:
-            print("error: --blocks N M is required with --matrix",
-                  file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError("--blocks N M is required with --matrix")
         S = read_matrix(args.matrix)
         n, m = args.blocks
     out = saddle_shift(S, n, m, method=args.method, **_solver_opts(args))
@@ -229,8 +227,7 @@ def cmd_fov(args):
     A, B = _load_pair(args)
     m = args.samples
     if m < 3:
-        print("error: --samples must be >= 3", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("--samples must be >= 3")
     P = ParamHermitian.trig(A, B)
     C = A + 1j * B
     C = np.asarray(C.toarray() if hasattr(C, "toarray") else C, dtype=complex)
@@ -255,7 +252,7 @@ def cmd_fov(args):
     return EXIT_OK
 
 
-def _add_solver_flags(p):
+def _add_solver_flags(p, trace=True):
     p.add_argument("--method", default="auto",
                    choices=["auto", "levelset", "support", "subspace"])
     p.add_argument("--tol", type=float, default=None,
@@ -266,13 +263,13 @@ def _add_solver_flags(p):
     p.add_argument("--gamma", type=float, default=None,
                    help="override the curvature lower bound")
     p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--omega0", type=float, default=None,
                    help="initial angle (support start / subspace sample)")
-    p.add_argument("--trace", action="store_true")
-    p.add_argument("--format", default="json", choices=["json", "csv"],
-                   help="csv emits the trace table with scalars as comments")
     p.add_argument("--out", default=None, help="write the result here")
+    if trace:
+        p.add_argument("--trace", action="store_true")
+        p.add_argument("--format", default="json", choices=["json", "csv"],
+                       help="csv emits the trace table, scalars as comments")
 
 
 def _add_input_flags(p):
@@ -282,8 +279,14 @@ def _add_input_flags(p):
                    help="Matrix Market files for a Hermitian pair")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1: argparse's 2 is non-convergence here
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="inropt",
         description="Global eigenvalue optimization for Hermitian pairs: "
                     "inner numerical radius, definiteness, nearest definite "
@@ -306,7 +309,7 @@ def build_parser():
     p.add_argument("--variant", default="clip", choices=["clip", "uniform"])
     p.add_argument("--outdir", default=".")
     p.add_argument("--prefix", default="repair_")
-    _add_solver_flags(p)
+    _add_solver_flags(p, trace=False)
     p.set_defaults(fn=cmd_distance)
 
     p = sub.add_parser("hyperbolic", help="QEP hyperbolicity test")
@@ -324,7 +327,8 @@ def build_parser():
     g.add_argument("--synthetic", nargs=2, type=int, metavar=("N", "M"))
     p.add_argument("--blocks", nargs=2, type=int, metavar=("N", "M"),
                    help="block sizes of S (required with --matrix)")
-    _add_solver_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of --synthetic")
+    _add_solver_flags(p, trace=False)
     p.set_defaults(fn=cmd_saddle)
 
     p = sub.add_parser("gallery", help="generate benchmark matrices")

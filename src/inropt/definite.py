@@ -65,23 +65,20 @@ class DefiniteRepair:
     theta_star: float
 
 
-def inner_numerical_radius(C=None, pair=None, method: str = "auto",
+def inner_numerical_radius(*, pair, method: str = "auto",
                            tol: float = 1e-12,
                            eps_cluster: float = EPS_CLUSTER_DEFAULT,
                            gamma: Optional[float] = None,
                            max_iter: Optional[int] = None,
-                           omega0: Optional[float] = None,
-                           seed: int = _subspace.DEFAULT_SEED) -> InnerRadiusResult:
-    """Minimize the largest eigenvalue of the rotated Hermitian part.
+                           omega0: Optional[float] = None) -> InnerRadiusResult:
+    """Minimize the largest eigenvalue of the rotated part of A + iB.
 
+    ``pair`` is ``(A, B)``; for a matrix C pass ``hermitian_split(C)``.
     ``method`` is one of ``levelset`` (dense, level-set extraction),
     ``support`` (piecewise-quadratic model), ``subspace`` (projection loop,
     the only choice for large sparse pairs), or ``auto``.
     """
-    if (C is None) == (pair is None):
-        raise ValueError("pass exactly one of C or pair=(A, B)")
-    A, B = pair if pair is not None else hermitian_split(C)
-    A, B = as_hermitian(A), as_hermitian(B)
+    A, B = map(as_hermitian, pair)
     P = ParamHermitian.trig(A, B)
     n = A.dim
     if method == "auto":
@@ -99,8 +96,8 @@ def inner_numerical_radius(C=None, pair=None, method: str = "auto",
             **iters)
     elif method == "subspace":
         res, _ = _subspace.subspace_minimize(
-            P, eps_cluster=eps_cluster, tol=tol, omega1=omega0, seed=seed,
-            gamma=gamma, **iters)
+            P, eps_cluster=eps_cluster, tol=tol, omega1=omega0, gamma=gamma,
+            **iters)
     else:
         raise ValueError(f"unknown method {method!r}")
     f_star = res.f_star

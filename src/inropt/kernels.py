@@ -242,7 +242,7 @@ def _top_eigpairs_sparse(op: HermitianOperator, k: int):
     2. Solve: Lanczos on ``(sigma*I - M)^{-1}``, whose largest eigenvalues
        ``1/(sigma - lambda)`` belong to the largest eigenvalues of M and are
        well separated even when M's are clustered.
-    3. Eigenvalues: Rayleigh quotients ``v^* M v``, with verified residuals.
+    3. Eigenpairs: Rayleigh-Ritz on the Lanczos vectors, verified residuals.
     4. Certificate: ``(lambda_0 + EIG_RESIDUAL_TOL*||M||_1)*I - M`` must be
        positive definite, so by Sylvester's law of inertia no eigenvalue
        lies above the reported one.
@@ -278,9 +278,11 @@ def _top_eigpairs_sparse(op: HermitianOperator, k: int):
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceFailure(
             f"shift-invert Lanczos did not converge: {exc}") from exc
-    vals = np.einsum("ij,ij->j", V.conj(), M @ V).real
-    order = np.argsort(vals)[::-1]
-    vals, V = vals[order], V[:, order]
+    # eigsh hands complex input to non-Hermitian Arnoldi, whose vectors for a
+    # multiple eigenvalue are not orthogonal.  Rayleigh-Ritz on their span:
+    # the pencil's k x k Cholesky is cheaper here than a QR of the tall V.
+    vals, Y = sla.eigh(V.conj().T @ (M @ V), V.conj().T @ V)
+    vals, V = vals[::-1], V @ Y[:, ::-1]
     if not _residual_check(M, vals, V, norm1):
         raise ConvergenceFailure("eigenpair residuals above tolerance")
     if _ldl((vals[0] + EIG_RESIDUAL_TOL * scale) * eye - M) is None:

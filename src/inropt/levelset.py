@@ -21,7 +21,9 @@ from .param import ParamHermitian, top_cluster
 from .results import MinResult, Status
 
 TWO_PI = 2.0 * np.pi
-FILTER_TOL_DEFAULT = 1e-7
+# Crossings where lambda_max is farther than this from the level (relative to
+# max(1, ||C||_2)) are discarded.
+FILTER_TOL = 1e-7
 TOL_DEFAULT = 1e-12
 MAX_ITER_DEFAULT = 200
 # When every sub-level gap is shorter than this fraction of the circle the
@@ -55,10 +57,9 @@ class CircularInterval:
 
 @dataclass
 class LevelSetTrace:
-    """Estimate sequence with per-iteration interval statistics."""
+    """Estimate sequence with the longest sub-level interval per iteration."""
 
     estimates: list = field(default_factory=list)
-    intervals_per_iter: list = field(default_factory=list)
     max_lengths: list = field(default_factory=list)
 
 
@@ -67,8 +68,7 @@ def _below(H, level):
     return is_pd(level * np.eye(len(H)) - H)
 
 
-def level_intervals(C: np.ndarray, alpha: float,
-                    filter_tol: float = FILTER_TOL_DEFAULT):
+def level_intervals(C: np.ndarray, alpha: float):
     """Maximal open intervals where lambda_max(H(theta)) < alpha.
 
     Candidate crossings come from the level pencil; only angles where alpha
@@ -78,7 +78,7 @@ def level_intervals(C: np.ndarray, alpha: float,
     """
     C = np.asarray(C, dtype=complex)
     P = ParamHermitian.trig(*hermitian_split(C))
-    tau = filter_tol * max(1.0, float(np.linalg.norm(C, 2)))
+    tau = FILTER_TOL * max(1.0, float(np.linalg.norm(C, 2)))
     kept = []
     for t in pencil_unit_eigs(C, alpha):
         H = P.evaluate(t).dense
@@ -122,8 +122,7 @@ def level_intervals(C: np.ndarray, alpha: float,
 
 
 def levelset_minimize(C: np.ndarray, tol: float = TOL_DEFAULT,
-                      max_iter: int = MAX_ITER_DEFAULT,
-                      filter_tol: float = FILTER_TOL_DEFAULT):
+                      max_iter: int = MAX_ITER_DEFAULT):
     """Globally minimize lambda_max(H(theta)) for a dense square C.
 
     Returns ``(MinResult, LevelSetTrace)``.  Termination is on relative
@@ -145,12 +144,11 @@ def levelset_minimize(C: np.ndarray, tol: float = TOL_DEFAULT,
     note = ""
     for _ in range(max_iter):
         try:
-            intervals = level_intervals(C, r, filter_tol)
+            intervals = level_intervals(C, r)
         except EmptyLevelSet:
             status = Status.CONVERGED
             note = "level set vanished"
             break
-        trace.intervals_per_iter.append(len(intervals))
         trace.max_lengths.append(max(iv.length for iv in intervals))
         if all(iv.length < COLLAPSE_TOL * TWO_PI for iv in intervals):
             status = Status.CONVERGED

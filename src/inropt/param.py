@@ -23,18 +23,17 @@ MAX_CLUSTER_DEFAULT = 10
 
 @dataclass(frozen=True)
 class Term:
-    """One coefficient function (with two derivatives) and its matrix."""
+    """One real coefficient function, its derivative, and its matrix."""
 
     fun: Callable[[float], float]
     dfun: Callable[[float], float]
-    d2fun: Callable[[float], float]
     matrix: HermitianOperator
 
 
 class ParamHermitian:
     """Hermitian family A(w) = sum_j f_j(w) A_j over a closed interval."""
 
-    def __init__(self, terms: Sequence[Term], omega_range, is_trig: bool = False):
+    def __init__(self, terms: Sequence[Term], omega_range):
         if not terms:
             raise ValueError("term list must be non-empty")
         dims = {t.matrix.dim for t in terms}
@@ -45,7 +44,7 @@ class ParamHermitian:
             raise ValueError("domain interval must satisfy a <= b")
         self.terms = tuple(terms)
         self.omega_range = (a, b)
-        self.is_trig = is_trig
+        self.is_trig = False  # only trig() sets it; project() carries it
         self.dim = dims.pop()
 
     @classmethod
@@ -56,12 +55,16 @@ class ParamHermitian:
         if A.dim != B.dim:
             raise ValueError("A and B must have the same dimension")
         terms = (
-            Term(np.cos, lambda w: -np.sin(w), lambda w: -np.cos(w), A),
-            Term(np.sin, np.cos, lambda w: -np.sin(w), B),
+            Term(np.cos, lambda w: -np.sin(w), A),
+            Term(np.sin, np.cos, B),
         )
-        return cls(terms, (0.0, 2.0 * np.pi), is_trig=True)
+        P = cls(terms, (0.0, 2.0 * np.pi))
+        P.is_trig = True
+        return P
 
     def _combine(self, coeffs) -> HermitianOperator:
+        if any(np.imag(c) != 0 for c in coeffs):  # keeps A(w) Hermitian
+            raise NonHermitianInput(f"complex coefficients {coeffs!r}")
         mats = [t.matrix for t in self.terms]
         if all(m.is_dense for m in mats):
             out = coeffs[0] * mats[0].dense.astype(complex, copy=True)
@@ -90,9 +93,11 @@ class ParamHermitian:
         for t in self.terms:
             red = V.cols.conj().T @ (t.matrix.raw @ V.cols)
             red = (red + red.conj().T) / 2.0
-            terms.append(Term(t.fun, t.dfun, t.d2fun,
+            terms.append(Term(t.fun, t.dfun,
                               HermitianOperator(red, check=False)))
-        return ParamHermitian(terms, self.omega_range, is_trig=self.is_trig)
+        reduced = ParamHermitian(terms, self.omega_range)
+        reduced.is_trig = self.is_trig
+        return reduced
 
     def __repr__(self):
         return (f"ParamHermitian(dim={self.dim}, terms={len(self.terms)}, "
@@ -106,7 +111,6 @@ class EigEval:
     omega: float
     lambda_max: float
     derivative: float
-    eigvec: np.ndarray
     cluster_size: int
 
 
@@ -181,47 +185,39 @@ def top_cluster(P: ParamHermitian, omega: float,
                       complex(v.conj() @ dA.apply(v)))
 
 
-def eig_max_eval(P: ParamHermitian, omega: float,
-                 eps_cluster: float = EPS_CLUSTER_DEFAULT) -> EigEval:
+def eig_max_eval(P: ParamHermitian, omega: float) -> EigEval:
     """lambda_max(A(w)) with its derivative v^* A'(w) v.
 
-    ``cluster_size`` counts the eigenvalues within ``eps_cluster`` of the
-    largest; at points where the largest eigenvalue is simple the derivative
-    is the classical analytic one.  Raises NonHermitianInput when A'(w) is
-    not Hermitian.
+    ``cluster_size`` counts the eigenvalues within ``EPS_CLUSTER_DEFAULT``
+    of the largest; at points where the largest eigenvalue is simple the
+    derivative is the classical analytic one.
     """
-    tc = top_cluster(P, omega, eps_cluster)
-    d = tc.top_derivative
-    if not abs(d.imag) <= 1e-10 * max(1.0, abs(tc.lambda_max)):
-        raise NonHermitianInput(
-            f"derivative has a large imaginary part {d.imag:.3e}")
+    tc = top_cluster(P, omega)
     return EigEval(omega=tc.omega, lambda_max=tc.lambda_max,
-                   derivative=d.real, eigvec=tc.vectors[:, 0],
+                   derivative=tc.top_derivative.real,
                    cluster_size=len(tc.values))
 
 
-def clarke_interval(P: ParamHermitian, omega: float,
-                    eps_cluster: float = EPS_CLUSTER_DEFAULT) -> ClarkeInterval:
+def clarke_interval(P: ParamHermitian, omega: float) -> ClarkeInterval:
     """Extreme eigenvalues of U^* A'(w) U over the lambda_max cluster U.
 
     For a simple largest eigenvalue the interval degenerates to the point
     derivative; a sharp non-smooth minimizer is flagged by
     ``contains_zero_strictly``.
     """
-    return top_cluster(P, omega, eps_cluster).clarke
+    return top_cluster(P, omega).clarke
 
 
-def support_slope(P: ParamHermitian, omega: float,
-                  eps_cluster: float = EPS_CLUSTER_DEFAULT):
+def support_slope(P: ParamHermitian, omega: float):
     """(lambda_max, slope, cluster_size) for support construction.
 
     At a numerically exact tie of the largest eigenvalue the slope is the
     largest eigenvalue of U^* A'(w) U over the tied invariant subspace (the
     right-hand derivative); otherwise it is the analytic derivative of the
     computed top eigenvector's branch.  ``cluster_size`` still counts the
-    ``eps_cluster`` neighborhood for diagnostics.
+    ``EPS_CLUSTER_DEFAULT`` neighborhood for diagnostics.
     """
-    tc = top_cluster(P, omega, eps_cluster)
+    tc = top_cluster(P, omega)
     return tc.lambda_max, tc.slope, len(tc.values)
 
 

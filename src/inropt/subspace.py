@@ -26,7 +26,10 @@ from . import support as _support
 TOL_DEFAULT = 1e-12
 MAX_ITER_DEFAULT = 100
 REDUCED_TOL = 1e-14
-DEFAULT_SEED = 0
+# Default first sample, as a fraction of the domain (numpy default_rng(0)'s
+# first draw): fixed, so runs repeat; generic, so the first basis avoids
+# special angles such as the midpoint, where the rotated family is -A.
+DEFAULT_START = 0.6369616873214543
 
 
 @dataclass
@@ -48,20 +51,19 @@ def subspace_minimize(P: ParamHermitian,
                       tol: float = TOL_DEFAULT,
                       max_iter: int = MAX_ITER_DEFAULT,
                       omega1: Optional[float] = None,
-                      seed: int = DEFAULT_SEED,
                       gamma: Optional[float] = None):
     """Globally minimize lambda_max(A(w)) through projected subproblems.
 
-    ``omega1`` fixes the initial sample point; when omitted it is drawn
-    uniformly from the domain with the given ``seed`` so runs stay
-    reproducible.  Round k keeps the certified lower bound ``l_k`` and
-    ``f_k = lambda_max(A(w_k))`` at the reduced minimizer, and converges
-    once ``f_k - l_k <= max(tol, 3 * noise) * max(1, |f_k|)``.  Returns
+    ``omega1`` fixes the initial sample point; when omitted it is the point
+    ``DEFAULT_START`` of the way along the domain.  Round k keeps the
+    certified lower bound ``l_k`` and ``f_k = lambda_max(A(w_k))`` at the
+    reduced minimizer, and converges once
+    ``f_k - l_k <= max(tol, 3 * noise) * max(1, |f_k|)``.  Returns
     ``(MinResult, SubspaceState)``.
     """
     a, b = P.omega_range
     if omega1 is None:
-        omega1 = float(np.random.default_rng(seed).uniform(a, b))
+        omega1 = a + DEFAULT_START * (b - a)
     if gamma is None and P.is_trig:
         gamma = default_gamma_trig(P.terms[0].matrix, P.terms[1].matrix)
     # Reduced eigenvalues carry O(eps * spectral scale) rounding, which

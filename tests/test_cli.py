@@ -157,6 +157,23 @@ class TestInr:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["inr"],
+        ["inr", "--matrix", "c.mtx", "--bogus"],
+        ["saddle", "--synthetic", "4", "2", "--trace"],
+    ], ids=["missing-required", "unknown-flag", "saddle-trace"])
+    def test_usage_error_exit_code(self, argv, capsys):
+        # 2 is the non-convergence code, so argparse's own 2 is not used
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error: " in capsys.readouterr().err
+
+    def test_help_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+
 
 class TestDefinite:
     def test_definite_pair(self, tmp_path):

@@ -17,7 +17,8 @@ TWO_PI = 2.0 * np.pi
 
 class TestInnerNumericalRadius:
     def test_scalar_one(self):
-        r = inner_numerical_radius(C=np.array([[1.0]]))
+        C = np.array([[1.0]])
+        r = inner_numerical_radius(pair=gallery.hermitian_split(C))
         assert r.zeta == pytest.approx(1.0, abs=1e-12)
         assert r.f_star == pytest.approx(-1.0, abs=1e-12)
         assert r.theta_star == pytest.approx(np.pi, abs=1e-4)
@@ -26,7 +27,8 @@ class TestInnerNumericalRadius:
         assert min(r.phi, TWO_PI - r.phi) <= 1e-4
 
     def test_segment_through_origin(self):
-        r = inner_numerical_radius(C=np.diag([1.0, -1.0]))
+        C = np.diag([1.0, -1.0])
+        r = inner_numerical_radius(pair=gallery.hermitian_split(C))
         assert r.zeta == pytest.approx(0.0, abs=1e-9)
         assert r.zero_in_fov
 
@@ -54,8 +56,8 @@ class TestInnerNumericalRadius:
     def test_zeta_scaling(self):
         rng = np.random.default_rng(40)
         C = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        z1 = inner_numerical_radius(C=C).zeta
-        z2 = inner_numerical_radius(C=2.5 * C).zeta
+        z1 = inner_numerical_radius(pair=gallery.hermitian_split(C)).zeta
+        z2 = inner_numerical_radius(pair=gallery.hermitian_split(2.5 * C)).zeta
         assert z2 == pytest.approx(2.5 * z1, abs=1e-8 * max(1.0, z1))
 
     def test_auto_routes_on_the_dense_threshold(self, monkeypatch):
@@ -83,9 +85,10 @@ class TestInnerNumericalRadius:
     def test_zeta_rotation_invariance(self):
         rng = np.random.default_rng(41)
         C = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        z1 = inner_numerical_radius(C=C).zeta
+        z1 = inner_numerical_radius(pair=gallery.hermitian_split(C)).zeta
         for th in rng.uniform(0.0, TWO_PI, size=3):
-            z2 = inner_numerical_radius(C=np.exp(-1j * th) * C).zeta
+            Ct = np.exp(-1j * th) * C
+            z2 = inner_numerical_radius(pair=gallery.hermitian_split(Ct)).zeta
             assert z2 == pytest.approx(z1, abs=1e-8 * max(1.0, z1))
 
 

@@ -124,8 +124,10 @@ class TestLargestEigpairs:
         np.testing.assert_allclose(vals, dense[:2], rtol=0, atol=1e-12)
         R = M @ vecs - vecs * vals[np.newaxis, :]
         assert np.linalg.norm(R, axis=0).max() <= 1e-10
-        # two independent directions of the two-dimensional eigenspace
+        # two independent directions of the two-dimensional eigenspace,
+        # returned as an orthonormal basis
         assert np.linalg.svd(vecs, compute_uv=False)[-1] >= 0.5
+        assert np.abs(vecs.conj().T @ vecs - np.eye(2)).max() <= 1e-12
 
     def test_lanczos_path_is_deterministic(self):
         # 1024 x 1024 sparse Laplacian takes the Lanczos path; repeated

@@ -163,11 +163,13 @@ class TestLevelsetMinimize:
         for l1, l2 in zip(trace.max_lengths, trace.max_lengths[1:]):
             assert l2 <= 0.5 * l1 * (1 + 1e-8) + 1e-14
 
-    def test_false_stop_is_not_converged(self):
-        # With filter_tol below rounding every crossing is rejected and the
+    def test_false_stop_is_not_converged(self, monkeypatch):
+        # With FILTER_TOL below rounding every crossing is rejected and the
         # level set "vanishes" far above the minimum 0.81189
+        import inropt.levelset as levelset
+        monkeypatch.setattr(levelset, "FILTER_TOL", 1e-16)
         A, B = gallery.cheng_higham7()
-        res, _ = levelset_minimize(A + 1j * B, filter_tol=1e-16)
+        res, _ = levelset_minimize(A + 1j * B)
         assert res.f_star > 0.82
         assert res.status is Status.MAX_ITERATIONS
         assert "not a minimum" in res.note

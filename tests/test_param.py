@@ -7,10 +7,19 @@ from inropt.kernels import Basis, hermitian_eig
 from inropt.param import (ParamHermitian, Term, clarke_interval,
                           default_gamma_trig, eig_max_eval, support_slope)
 from inropt.kernels import HermitianOperator
+from inropt.subspace import subspace_minimize
+from inropt.support import eigopt_minimize
 
 from oracles import lam_max_trig, random_trig_pair
 
 THETA_STAR_TRIDIAG = 3.665191429188092  # 7*pi/6, multiplicity-2 minimizer
+
+
+def non_hermitian_family():
+    """A(w) = w*diag(1, -1) with the imaginary derivative coefficient 1j."""
+    t = Term(lambda w: w, lambda w: 1j,
+             HermitianOperator(np.diag([1.0, -1.0])))
+    return ParamHermitian([t], (0.0, 1.0))
 
 
 def tridiag_pair():
@@ -30,7 +39,7 @@ class TestEvaluate:
         np.testing.assert_allclose(P.evaluate(0.0).dense, A, atol=1e-15)
 
     def test_polynomial_coefficient(self):
-        t = Term(lambda w: w ** 2, lambda w: 2 * w, lambda w: 2.0,
+        t = Term(lambda w: w ** 2, lambda w: 2 * w,
                  HermitianOperator(np.eye(3)))
         P = ParamHermitian([t], (0.0, 5.0))
         np.testing.assert_allclose(P.evaluate(2.0).dense, 4.0 * np.eye(3),
@@ -96,11 +105,16 @@ class TestEigMaxEval:
             assert abs(ev.derivative - fd) <= 1e-6 * scale
 
     def test_non_hermitian_derivative_raises(self):
-        t = Term(lambda w: w, lambda w: 1j, lambda w: 0.0,
-                 HermitianOperator(np.diag([1.0, -1.0])))
-        P = ParamHermitian([t], (0.0, 1.0))
         with pytest.raises(NonHermitianInput):
-            eig_max_eval(P, 0.5)
+            eig_max_eval(non_hermitian_family(), 0.5)
+
+    @pytest.mark.parametrize("solve", [
+        lambda P: eigopt_minimize(P, gamma=-1.0),
+        lambda P: subspace_minimize(P, gamma=-1.0),
+    ], ids=["support", "subspace"])
+    def test_solvers_reject_non_hermitian_family(self, solve):
+        with pytest.raises(NonHermitianInput):
+            solve(non_hermitian_family())
 
     def test_views_agree_at_tridiag_crossing(self):
         A, B = tridiag_pair()
@@ -123,7 +137,7 @@ class TestClarkeInterval:
 
     def test_symmetric_crossing(self):
         # A(w) = diag(w, -w): at 0 the cluster is full and A' = diag(1, -1)
-        t = Term(lambda w: w, lambda w: 1.0, lambda w: 0.0,
+        t = Term(lambda w: w, lambda w: 1.0,
                  HermitianOperator(np.diag([1.0, -1.0])))
         P = ParamHermitian([t], (-1.0, 1.0))
         ci = clarke_interval(P, 0.0)

@@ -4,7 +4,8 @@ import pytest
 from inropt import gallery
 from inropt.param import ParamHermitian
 from inropt.results import Status
-from inropt.subspace import subspace_minimize, verify_interpolation
+from inropt.subspace import (DEFAULT_START, subspace_minimize,
+                              verify_interpolation)
 from inropt.support import eigopt_minimize
 
 from oracles import lam_max_trig, random_trig_pair
@@ -74,12 +75,14 @@ class TestSubspaceMinimize:
         assert all(1 <= c <= 10 for c in state.cluster_sizes)
         assert state.basis.size <= sum(state.cluster_sizes)
 
-    def test_seeded_default_start_is_reproducible(self):
+    def test_default_start_is_reproducible(self):
         P, _, _ = cheng_higham_family()
-        r1, s1 = subspace_minimize(P, seed=42)
-        r2, s2 = subspace_minimize(P, seed=42)
-        assert r1.omega_star == r2.omega_star
-        assert [t[2] for t in s1.trace] == [t[2] for t in s2.trace]
+        r1, s1 = subspace_minimize(P)
+        r2, s2 = subspace_minimize(P)
+        r3, s3 = subspace_minimize(P, omega1=DEFAULT_START * 2.0 * np.pi)
+        assert r1.omega_star == r2.omega_star == r3.omega_star
+        assert ([t[2] for t in s1.trace] == [t[2] for t in s2.trace]
+                == [t[2] for t in s3.trace])
 
     def test_nonsmooth_minimizer_cluster_expansion(self):
         A, B = gallery.hermitian_split(gallery.tridiag_nonsmooth(10))

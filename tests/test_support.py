@@ -195,7 +195,7 @@ class TestEigoptMinimize:
     def test_gamma_required_for_general_family(self):
         from inropt.kernels import HermitianOperator
         from inropt.param import Term
-        t = Term(lambda w: w, lambda w: 1.0, lambda w: 0.0,
+        t = Term(lambda w: w, lambda w: 1.0,
                  HermitianOperator(np.diag([1.0, -1.0])))
         P = ParamHermitian([t], (-1.0, 1.0))
         with pytest.raises(InvalidGamma):
