@@ -175,11 +175,15 @@ def cmd_hyperbolic(args):
 
 def cmd_saddle(args):
     if args.synthetic is not None:
+        if args.blocks is not None:
+            raise ValueError("--blocks N M is not allowed with --synthetic")
         n, m = args.synthetic
-        S, _ = gallery.synthetic_saddle(n, m, args.seed)
+        S, _ = gallery.synthetic_saddle(n, m, args.seed or 0)
     else:
         if args.blocks is None:
             raise ValueError("--blocks N M is required with --matrix")
+        if args.seed is not None:
+            raise ValueError("--seed is not allowed with --matrix")
         S = read_matrix(args.matrix)
         n, m = args.blocks
     out = saddle_shift(S, n, m, method=args.method, **_solver_opts(args))
@@ -327,7 +331,8 @@ def build_parser():
     g.add_argument("--synthetic", nargs=2, type=int, metavar=("N", "M"))
     p.add_argument("--blocks", nargs=2, type=int, metavar=("N", "M"),
                    help="block sizes of S (required with --matrix)")
-    p.add_argument("--seed", type=int, default=0, help="seed of --synthetic")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of --synthetic (default 0)")
     _add_solver_flags(p, trace=False)
     p.set_defaults(fn=cmd_saddle)
 

@@ -14,6 +14,7 @@ every operation is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -205,7 +206,8 @@ def _residual_check(M, vals, vecs, norm_scale):
     return np.all(res <= EIG_RESIDUAL_TOL * max(norm_scale, 1e-300))
 
 
-def largest_eigpairs(M, eps_cluster: float, max_pairs: int):
+def largest_eigpairs(M, eps_cluster: float, max_pairs: int,
+                     lower: Optional[float] = None):
     """Largest eigenvalue plus its eps_cluster-cluster, with eigenvectors.
 
     Returns ``(values, vectors)`` where values[0] is the largest eigenvalue
@@ -214,7 +216,10 @@ def largest_eigpairs(M, eps_cluster: float, max_pairs: int):
     threshold, goes through the full decomposition; larger sparse operators
     take the certified shift-invert Lanczos of :func:`_top_eigpairs_sparse`,
     which raises ConvergenceFailure unless the largest eigenvalue is
-    certified.
+    certified.  ``lower`` is a hint expected to lie at or below the largest
+    eigenvalue, such as a Ritz value; the sparse path seeds its shift
+    bracket with it and the dense path ignores it.  It is never trusted: a
+    wrong hint changes only the cost.
     """
     if max_pairs < 1:
         raise ValueError("max_pairs must be >= 1")
@@ -224,7 +229,8 @@ def largest_eigpairs(M, eps_cluster: float, max_pairs: int):
         dec = hermitian_eig(op)
         vals, vecs = dec.values, dec.vectors
     else:
-        vals, vecs = _top_eigpairs_sparse(op, min(max_pairs + 1, n - 1))
+        vals, vecs = _top_eigpairs_sparse(op, min(max_pairs + 1, n - 1),
+                                          lower)
     keep = 1
     while (keep < min(max_pairs, len(vals))
            and vals[0] - vals[keep] <= eps_cluster):
@@ -232,13 +238,17 @@ def largest_eigpairs(M, eps_cluster: float, max_pairs: int):
     return vals[:keep].copy(), vecs[:, :keep].copy()
 
 
-def _top_eigpairs_sparse(op: HermitianOperator, k: int):
+def _top_eigpairs_sparse(op: HermitianOperator, k: int,
+                         lower: Optional[float] = None):
     """The k largest eigenpairs of a sparse Hermitian operator, descending.
 
     1. Bracket: bisect sigma on PD tests of ``sigma*I - M`` between
        ``max_i M_ii <= lambda_max`` and ``||M||_1 >= lambda_max`` down to a
        width of ``SHIFT_REL_WIDTH * ||M||_1``, keeping the factor at the
-       upper end, where ``sigma > lambda_max`` is certified.
+       upper end, where ``sigma > lambda_max`` is certified.  A hint
+       ``lower`` above ``max_i M_ii`` first takes one PD test at
+       ``lower + width``: if it passes, that is sigma; if it fails, it
+       raises the lower end of the bisection.
     2. Solve: Lanczos on ``(sigma*I - M)^{-1}``, whose largest eigenvalues
        ``1/(sigma - lambda)`` belong to the largest eigenvalues of M and are
        well separated even when M's are clustered.
@@ -255,8 +265,14 @@ def _top_eigpairs_sparse(op: HermitianOperator, k: int):
     width = SHIFT_REL_WIDTH * scale
     # Diagonal entries are Rayleigh quotients; hi is past ||M||_1.
     lo, hi = float(M.diagonal().real.max()), norm1 + width
-    lu = None
-    while hi - lo > width:
+    lu, bracketed = None, False
+    if lower is not None and lo < lower and lower + width < hi:
+        trial = _ldl((lower + width) * eye - M)
+        if trial is None:
+            lo = lower + width
+        else:
+            hi, lu, bracketed = lower + width, trial, True
+    while not bracketed and hi - lo > width:
         mid = 0.5 * (lo + hi)
         trial = _ldl(mid * eye - M)
         if trial is None:
@@ -372,30 +388,39 @@ def pencil_unit_eigs(C: np.ndarray, alpha: float):
 def orthonormal_extend(V: Basis, W) -> Basis:
     """Extend an orthonormal basis by the span of additional vectors.
 
-    Each vector is orthogonalized against the current basis twice
-    (re-orthogonalization); vectors whose remainder falls below
-    ``DROP_TOL`` times their original norm are discarded.
+    Block classical Gram-Schmidt, applied twice: each pass projects the
+    whole block against the basis, then each vector in turn against the
+    vectors of the block already accepted in that pass.  The second pass
+    also repairs what cancellation inside the block left of the basis
+    directions.  A vector whose remainder falls below ``DROP_TOL`` times its
+    original norm is discarded; when none is accepted, ``V`` itself is
+    returned.
     """
-    cols = [np.asarray(V.cols, dtype=complex)]
-    count = V.size
     n = V.dim
-    for w in W:
-        w = np.asarray(w, dtype=complex).reshape(-1)
-        if w.shape[0] != n:
-            raise ValueError("vector length does not match basis dimension")
-        norm0 = np.linalg.norm(w)
-        if norm0 == 0.0:
-            continue
-        v = w.copy()
-        for _ in range(2):
-            for block in cols:
-                if block.shape[1]:
-                    v -= block @ (block.conj().T @ v)
-        nv = np.linalg.norm(v)
-        if nv <= DROP_TOL * norm0:
-            continue
-        cols.append((v / nv)[:, np.newaxis])
-        count += 1
-    if count == V.size:
+    X = [np.asarray(w, dtype=complex).reshape(-1) for w in W]
+    if any(x.shape[0] != n for x in X):
+        raise ValueError("vector length does not match basis dimension")
+    if not X:
         return V
-    return Basis(n, np.hstack(cols))
+    X = np.column_stack(X)
+    floors = DROP_TOL * np.linalg.norm(X, axis=0)
+    Q = V.cols
+    for _ in range(2):
+        # One product per projection, not one per vector: BLAS would hand
+        # every single small product to its threads.
+        if Q.shape[1]:
+            X = X - Q @ (Q.conj().T @ X)
+        accepted, kept_floors = [], []
+        for x, floor in zip(X.T, floors):
+            if accepted:
+                U = np.column_stack(accepted)
+                x = x - U @ (U.conj().T @ x)
+            nx = np.linalg.norm(x)
+            if nx > floor:
+                accepted.append(x / nx)
+                # The floor follows the vector's scale into the next pass.
+                kept_floors.append(floor / nx)
+        if not accepted:
+            return V
+        X, floors = np.column_stack(accepted), kept_floors
+    return Basis(n, np.hstack([Q, X]))

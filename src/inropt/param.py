@@ -8,7 +8,7 @@ curvature bound used by the support-based optimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -175,10 +175,15 @@ class TopCluster:
 
 
 def top_cluster(P: ParamHermitian, omega: float,
-                eps_cluster: float = EPS_CLUSTER_DEFAULT) -> TopCluster:
-    """Evaluate A(w) and A'(w) once; extract the largest-eigenvalue cluster."""
+                eps_cluster: float = EPS_CLUSTER_DEFAULT,
+                lower: Optional[float] = None) -> TopCluster:
+    """Evaluate A(w) and A'(w) once; extract the largest-eigenvalue cluster.
+
+    ``lower`` is the eigensolver's hint for a value at or below
+    lambda_max(A(w)) (see :func:`kernels.largest_eigpairs`).
+    """
     vals, vecs = largest_eigpairs(P.evaluate(omega), eps_cluster,
-                                  MAX_CLUSTER_DEFAULT)
+                                  MAX_CLUSTER_DEFAULT, lower)
     dA = P.derivative_matrix(omega)
     v = vecs[:, 0]
     return TopCluster(float(omega), vals, vecs, dA,

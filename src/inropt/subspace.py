@@ -87,7 +87,10 @@ def subspace_minimize(P: ParamHermitian,
                 f"reduced support solve stopped with {res.status.value} "
                 f"(certified gap {gap:.3e})")
         state.trace.append((k, state.basis.size, res.omega_star, res.f_star))
-        cluster = top_cluster(P, res.omega_star, eps_cluster)
+        # By Cauchy interlacing the reduced value lies at or below the full
+        # lambda_max, so it seeds the shift bracket of the sparse solve.
+        cluster = top_cluster(P, res.omega_star, eps_cluster,
+                              lower=res.f_star)
         lower = max(lower, res.lower_bound
                     - noise * max(1.0, abs(res.lower_bound)))
         f_k = cluster.lambda_max

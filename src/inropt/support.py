@@ -147,7 +147,7 @@ class PiecewiseModel:
         x = keys[i]
         lo = keys[i - 1] if i > 0 else self.a
         hi = keys[i + 1] if i + 1 < len(keys) else self.b
-        step = PERTURB_REL * max(self.b - self.a, 1e-300)
+        step = PERTURB_REL * max(1.0, self.b - self.a)
         w = min(max(x + (step if hi - x >= x - lo else -step), self.a), self.b)
         return None if self.near(w) else w
 

@@ -298,6 +298,28 @@ class TestHyperbolicSaddle:
         assert out["definite"] is True
         assert out["lambda_min"] > 0
 
+    def test_saddle_default_seed_is_zero(self):
+        _, default = run_cli("saddle", "--synthetic", "20", "8",
+                             "--method", "support")
+        _, seeded = run_cli("saddle", "--synthetic", "20", "8",
+                            "--seed", "0", "--method", "support")
+        assert default == seeded
+
+    @pytest.mark.parametrize("argv", [
+        ["--synthetic", "20", "8", "--blocks", "1", "1"],
+        ["--matrix", "{S}", "--blocks", "20", "8", "--seed", "0"],
+    ], ids=["blocks-with-synthetic", "seed-with-matrix"])
+    def test_saddle_rejects_other_mode_flag(self, argv, tmp_path, capsys):
+        S, _ = gallery.synthetic_saddle(20, 8, 0)
+        path = tmp_path / "S.mtx"
+        write_matrix(path, S)
+        argv = [a.format(S=path) for a in argv]
+        code = main(["saddle", *argv, "--method", "support"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestGallery:
     def test_fiedler_roundtrip(self, tmp_path):

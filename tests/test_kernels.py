@@ -5,9 +5,11 @@ import scipy.sparse as sp
 
 from inropt import gallery
 from inropt.errors import NonHermitianInput
-from inropt.kernels import (Basis, HermitianOperator, hermitian_eig, is_pd,
-                            largest_eigpairs, orthonormal_extend,
-                            pencil_unit_eigs, spectral_norm_ub)
+from inropt import kernels
+from inropt.kernels import (EIG_RESIDUAL_TOL, Basis, HermitianOperator,
+                            hermitian_eig, is_pd, largest_eigpairs,
+                            orthonormal_extend, pencil_unit_eigs,
+                            spectral_norm_ub)
 
 from oracles import charpoly_eigs, pencil_unit_angles_qz, random_hermitian
 
@@ -128,6 +130,34 @@ class TestLargestEigpairs:
         # returned as an orthonormal basis
         assert np.linalg.svd(vecs, compute_uv=False)[-1] >= 0.5
         assert np.abs(vecs.conj().T @ vecs - np.eye(2)).max() <= 1e-12
+
+    @pytest.mark.parametrize("offset", [-2.0, 0.0, 0.015],
+                             ids=["far-below", "equal", "above"])
+    def test_bracket_hint_is_not_trusted(self, offset, monkeypatch):
+        # 1024 x 1024 Laplacian, diagonal 4, ||P||_1 = 8, lambda_max 7.98:
+        # every hint plus the width 8e-3 lies inside the bisection bracket
+        # (4, 8 + 8e-3)
+        P = gallery.poisson2d(32)
+        norm1 = spectral_norm_ub(P)
+        top, _ = largest_eigpairs(P, eps_cluster=1e-6, max_pairs=3)
+        calls = []
+        ldl = kernels._ldl
+        monkeypatch.setattr(kernels, "_ldl",
+                            lambda M: calls.append(1) or ldl(M))
+        vals, _ = largest_eigpairs(P, eps_cluster=1e-6, max_pairs=3,
+                                   lower=top[0] + offset)
+        ldl_calls = len(calls)
+        assert vals[0] == pytest.approx(top[0],
+                                        abs=EIG_RESIDUAL_TOL * norm1)
+        cert = (vals[0] + EIG_RESIDUAL_TOL * norm1) * sp.identity(P.shape[0])
+        assert is_pd((cert - P).tocsr())
+        if offset < 0.0:
+            # the failed test at the hint only raises the bisection's floor
+            assert ldl_calls > 2
+        else:
+            # one PD test closes the bracket, one certifies the result; a
+            # high hint is a valid shift too, only a slower one
+            assert ldl_calls == 2
 
     def test_lanczos_path_is_deterministic(self):
         # 1024 x 1024 sparse Laplacian takes the Lanczos path; repeated
@@ -283,6 +313,50 @@ class TestOrthonormalExtend:
             gram = V.cols.conj().T @ V.cols
             assert np.abs(gram - np.eye(V.size)).max() <= 1e-10
         assert V.size <= 12
+
+    def test_equal_vectors_in_one_call_keep_one(self):
+        w = np.array([1.0, 2.0, 0.0, -1.0])
+        out = orthonormal_extend(Basis.empty(4), [w, w.copy()])
+        assert out.size == 1
+        np.testing.assert_allclose(np.abs(out.cols[:, 0]),
+                                   np.abs(w) / np.linalg.norm(w), atol=1e-15)
+
+    def test_zero_and_spanned_vectors_dropped(self):
+        V = Basis(4, np.eye(4, 2, dtype=complex))
+        span = np.array([3.0, -2.0j, 0.0, 0.0])
+        new = np.array([1.0, 1.0, 1.0, 0.0])
+        out = orthonormal_extend(V, [np.zeros(4), span, new])
+        assert out.size == 3
+        np.testing.assert_allclose(np.abs(out.cols[:, 2]), [0, 0, 1, 0],
+                                   atol=1e-15)
+
+    def test_block_filling_the_space_stops_at_dim(self):
+        rng = np.random.default_rng(11)
+        n = 6
+        V = orthonormal_extend(Basis.empty(n), rng.standard_normal((2, n)))
+        W = rng.standard_normal((n + 3, n)) + 1j * rng.standard_normal(
+            (n + 3, n))
+        out = orthonormal_extend(V, W)
+        assert out.size == n
+        np.testing.assert_array_equal(out.cols[:, :2], V.cols)
+
+    def test_complex_block_is_orthonormal_to_rounding(self):
+        rng = np.random.default_rng(8)
+        n = 400
+        V = Basis.empty(n)
+        for _ in range(6):
+            # nearly parallel columns stress the in-block re-orthogonalization
+            W = rng.standard_normal((11, n)) + 1j * rng.standard_normal((11, n))
+            W[1:] = W[0] + 1e-6 * W[1:]
+            V = orthonormal_extend(V, W)
+        assert V.size == 66
+        gram = V.cols.conj().T @ V.cols
+        assert np.abs(gram - np.eye(V.size)).max() <= 1e-14
+
+    def test_nothing_accepted_returns_the_basis_itself(self):
+        V = Basis(3, np.eye(3, 2, dtype=complex))
+        assert orthonormal_extend(V, [np.zeros(3), np.array([0, 1j, 0])]) is V
+        assert orthonormal_extend(V, []) is V
 
 
 class TestSpectralNormUb:

@@ -7,7 +7,8 @@ from inropt import gallery
 from inropt.errors import DegenerateSupports, InvalidGamma
 from inropt.param import ParamHermitian
 from inropt.results import Status
-from inropt.support import (PiecewiseModel, SupportPoint, eigopt_minimize,
+from inropt.support import (DUPLICATE_REL, PERTURB_REL, PiecewiseModel,
+                            SupportPoint, eigopt_minimize,
                             eigopt_minimize_callback,
                             two_support_intersection)
 
@@ -154,9 +155,25 @@ class TestCallbackSolver:
             (0.0, 1e-3), -1.0, tol=0.0)
         assert res.status is Status.MAX_ITERATIONS
         assert res.note == "iterate collision at float resolution"
-        assert res.iterations == len(res.trace) == 5
+        assert res.iterations == len(res.trace) == 7
         assert res.lower_bound <= res.f_star <= 1e-16
         assert res.omega_star == pytest.approx(3e-4, abs=1e-16)
+
+    def test_narrow_domain_duplicate_gets_nudged_evaluation(self):
+        # The nudge step scales like the duplicate tolerance, so on a domain
+        # narrower than 1 it still clears it and the duplicate is evaluated
+        # at the nudged point instead of ending the run.
+        points = []
+
+        def f(w):
+            points.append(w)
+            return abs(w - 3e-4), math.copysign(1.0, w - 3e-4)
+
+        eigopt_minimize_callback(f, (0.0, 1e-3), -1.0, tol=0.0)
+        steps = [min(abs(w - x) for x in points[:i])
+                 for i, w in enumerate(points) if i]
+        assert any(s == pytest.approx(PERTURB_REL, rel=1e-3) for s in steps)
+        assert min(steps) > DUPLICATE_REL
 
     def test_zero_gamma_substituted(self):
         res = eigopt_minimize_callback(
