@@ -3,9 +3,8 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from inropt import gallery
+from inropt import gallery, kernels
 from inropt.errors import NonHermitianInput
-from inropt import kernels
 from inropt.kernels import (EIG_RESIDUAL_TOL, Basis, HermitianOperator,
                             hermitian_eig, is_pd, largest_eigpairs,
                             orthonormal_extend, pencil_unit_eigs,
