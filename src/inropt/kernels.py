@@ -4,8 +4,9 @@ Everything downstream (the parameterized family, the three optimizers, the
 definiteness layer) goes through the small set of operations in this module:
 Hermitian eigendecomposition, positive-definiteness tests (Cholesky for
 dense, symmetric LDL^T for sparse storage), clustered largest-eigenpair
-extraction (certified shift-invert Lanczos on large sparse operators),
-unit-circle pencil eigenvalues, and orthonormal basis extension.
+extraction, unit-circle pencil eigenvalues, and orthonormal basis extension.
+On large sparse operators shift-invert Lanczos starts from two pairs, and
+an LDL^T inertia count certifies the size of the cluster it returns.
 
 All types are immutable after construction and safe to share across threads;
 every operation is a pure function of its inputs.
@@ -179,14 +180,15 @@ def is_pd(M) -> bool:
     return True
 
 
-def _ldl(M):
-    """SuperLU factor of a sparse Hermitian M when M is positive definite.
+def _ldl_inertia(M):
+    """Symmetric LDL^T factor of a sparse Hermitian M and its inertia count.
 
     The factorization uses a fill-reducing symmetric ordering and takes
     every pivot from the diagonal, so it is M's LDL^T (U = D L^*) exactly
     when no row was pivoted away from its column.  By Sylvester's law of
-    inertia M is then positive definite exactly when every pivot is
-    positive.  A singular factorization, or any pivoting, returns None.
+    inertia the number of pivots that are not positive is then the number
+    of eigenvalues of M at or below 0.  Returns ``(lu, count)``, or None
+    when the factorization is singular or pivoted.
     """
     try:
         lu = spla.splu(sp.csc_matrix(M), permc_spec="MMD_AT_PLUS_A",
@@ -194,9 +196,20 @@ def _ldl(M):
                        options={"SymmetricMode": True})
     except RuntimeError:  # exactly singular
         return None
-    if (np.array_equal(lu.perm_r, lu.perm_c)
-            and np.all(lu.U.diagonal().real > 0.0)):
-        return lu
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return lu, int(np.count_nonzero(lu.U.diagonal().real <= 0.0))
+
+
+def _ldl(M):
+    """SuperLU factor of a sparse Hermitian M when M is positive definite.
+
+    Positive definite means every pivot of :func:`_ldl_inertia` is
+    positive.  A singular or pivoted factorization returns None.
+    """
+    factor = _ldl_inertia(M)
+    if factor is not None and factor[1] == 0:
+        return factor[0]
     return None
 
 
@@ -215,11 +228,12 @@ def largest_eigpairs(M, eps_cluster: float, max_pairs: int,
     ``max_pairs``).  Dense storage, or any operator below the dense
     threshold, goes through the full decomposition; larger sparse operators
     take the certified shift-invert Lanczos of :func:`_top_eigpairs_sparse`,
-    which raises ConvergenceFailure unless the largest eigenvalue is
-    certified.  ``lower`` is a hint expected to lie at or below the largest
-    eigenvalue, such as a Ritz value; the sparse path seeds its shift
-    bracket with it and the dense path ignores it.  It is never trusted: a
-    wrong hint changes only the cost.
+    which raises ConvergenceFailure unless the largest eigenvalue and the
+    size of its cluster are certified.  An infinite ``eps_cluster`` asks
+    for the ``max_pairs`` largest pairs.  ``lower`` is a hint expected to
+    lie at or below the largest eigenvalue, such as a Ritz value; the
+    sparse path seeds its shift bracket with it and the dense path ignores
+    it.  It is never trusted: a wrong hint changes only the cost.
     """
     if max_pairs < 1:
         raise ValueError("max_pairs must be >= 1")
@@ -229,8 +243,7 @@ def largest_eigpairs(M, eps_cluster: float, max_pairs: int,
         dec = hermitian_eig(op)
         vals, vecs = dec.values, dec.vectors
     else:
-        vals, vecs = _top_eigpairs_sparse(op, min(max_pairs + 1, n - 1),
-                                          lower)
+        vals, vecs = _top_eigpairs_sparse(op, eps_cluster, max_pairs, lower)
     keep = 1
     while (keep < min(max_pairs, len(vals))
            and vals[0] - vals[keep] <= eps_cluster):
@@ -238,9 +251,12 @@ def largest_eigpairs(M, eps_cluster: float, max_pairs: int,
     return vals[:keep].copy(), vecs[:, :keep].copy()
 
 
-def _top_eigpairs_sparse(op: HermitianOperator, k: int,
-                         lower: Optional[float] = None):
-    """The k largest eigenpairs of a sparse Hermitian operator, descending.
+def _top_eigpairs_sparse(op: HermitianOperator, eps_cluster: float,
+                         max_pairs: int, lower: Optional[float] = None):
+    """Largest eigenpairs of a sparse Hermitian operator, descending.
+
+    The pairs returned hold the largest eigenvalue and its whole
+    ``eps_cluster``-cluster, or at least ``max_pairs`` members of it.
 
     1. Bracket: bisect sigma on PD tests of ``sigma*I - M`` between
        ``max_i M_ii <= lambda_max`` and ``||M||_1 >= lambda_max`` down to a
@@ -249,13 +265,23 @@ def _top_eigpairs_sparse(op: HermitianOperator, k: int,
        ``lower`` above ``max_i M_ii`` first takes one PD test at
        ``lower + width``: if it passes, that is sigma; if it fails, it
        raises the lower end of the bisection.
-    2. Solve: Lanczos on ``(sigma*I - M)^{-1}``, whose largest eigenvalues
-       ``1/(sigma - lambda)`` belong to the largest eigenvalues of M and are
-       well separated even when M's are clustered.
+    2. Solve: Lanczos on ``(sigma*I - M)^{-1}`` for ``k = 2`` pairs, whose
+       largest eigenvalues ``1/(sigma - lambda)`` belong to the largest
+       eigenvalues of M and are well separated even when M's are clustered.
     3. Eigenpairs: Rayleigh-Ritz on the Lanczos vectors, verified residuals.
-    4. Certificate: ``(lambda_0 + EIG_RESIDUAL_TOL*||M||_1)*I - M`` must be
-       positive definite, so by Sylvester's law of inertia no eigenvalue
-       lies above the reported one.
+    4. Certificate of the top: ``(lambda_0 + EIG_RESIDUAL_TOL*||M||_1)*I - M``
+       must be positive definite, so by Sylvester's law of inertia no
+       eigenvalue lies above the reported one.
+    5. Certificate of the cluster (the spectral-transformation Lanczos check
+       of Ericsson and Ruhe): the inertia count of ``s*I - M`` at
+       ``s = lambda_0 - eps_cluster - EIG_RESIDUAL_TOL*||M||_1`` is the
+       number of eigenvalues at or above s.  While it exceeds the Ritz
+       values found there, k grows strictly, to ``min(kmax, max(k, count)
+       + 1)`` with ``kmax = min(max_pairs + 1, n - 1)``, and steps 2-5
+       repeat.  A count that still exceeds them at ``kmax``, with fewer than
+       ``max_pairs`` cluster values found, raises ConvergenceFailure, as
+       does a pivoted count.  An infinite ``eps_cluster`` asks for ``kmax``
+       pairs at once and takes no count.
     """
     M = op.raw
     n = op.dim
@@ -287,25 +313,46 @@ def _top_eigpairs_sparse(op: HermitianOperator, k: int,
     inverse = spla.LinearOperator(M.shape, matvec=lu.solve, dtype=M.dtype)
     # A fixed start vector makes repeated calls return the same bits.
     v0 = np.random.default_rng(12345).standard_normal(n).astype(M.dtype)
-    try:
-        _, V = spla.eigsh(inverse, k=k, which="LA", tol=0,
-                          ncv=min(n, max(4 * k + 1, 40)), maxiter=200 * n,
-                          v0=v0)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceFailure(
-            f"shift-invert Lanczos did not converge: {exc}") from exc
-    # eigsh hands complex input to non-Hermitian Arnoldi, whose vectors for a
-    # multiple eigenvalue are not orthogonal.  Rayleigh-Ritz on their span:
-    # the pencil's k x k Cholesky is cheaper here than a QR of the tall V.
-    vals, Y = sla.eigh(V.conj().T @ (M @ V), V.conj().T @ V)
-    vals, V = vals[::-1], V @ Y[:, ::-1]
-    if not _residual_check(M, vals, V, norm1):
-        raise ConvergenceFailure("eigenpair residuals above tolerance")
-    if _ldl((vals[0] + EIG_RESIDUAL_TOL * scale) * eye - M) is None:
-        raise ConvergenceFailure(
-            f"inertia certificate failed: an eigenvalue lies above the "
-            f"reported largest {vals[0]:.17g}")
-    return vals, V
+    kmax = min(max_pairs + 1, n - 1)
+    k = kmax if np.isinf(eps_cluster) else min(2, kmax)
+    while True:
+        try:
+            _, V = spla.eigsh(inverse, k=k, which="LA", tol=0,
+                              ncv=min(n, max(4 * k + 1, 20)),
+                              maxiter=200 * n, v0=v0)
+        except spla.ArpackNoConvergence as exc:
+            raise ConvergenceFailure(
+                f"shift-invert Lanczos did not converge: {exc}") from exc
+        # eigsh hands complex input to non-Hermitian Arnoldi, whose vectors
+        # for a multiple eigenvalue are not orthogonal.  Rayleigh-Ritz on
+        # their span: the pencil's k x k Cholesky is cheaper here than a QR
+        # of the tall V.
+        vals, Y = sla.eigh(V.conj().T @ (M @ V), V.conj().T @ V)
+        vals, V = vals[::-1], V @ Y[:, ::-1]
+        if not _residual_check(M, vals, V, norm1):
+            raise ConvergenceFailure("eigenpair residuals above tolerance")
+        if _ldl((vals[0] + EIG_RESIDUAL_TOL * scale) * eye - M) is None:
+            raise ConvergenceFailure(
+                f"inertia certificate failed: an eigenvalue lies above the "
+                f"reported largest {vals[0]:.17g}")
+        if np.isinf(eps_cluster):
+            return vals, V
+        shift = vals[0] - eps_cluster - EIG_RESIDUAL_TOL * scale
+        factor = _ldl_inertia(shift * eye - M)
+        if factor is None:
+            raise ConvergenceFailure(
+                f"cluster certificate failed: no inertia count at "
+                f"{shift:.17g}, the factorization pivoted or is singular")
+        count, found = factor[1], int(np.count_nonzero(vals >= shift))
+        if count <= found:
+            return vals, V
+        if k == kmax:
+            if np.count_nonzero(vals[0] - vals <= eps_cluster) < max_pairs:
+                raise ConvergenceFailure(
+                    f"cluster certificate failed: {count} eigenvalues lie "
+                    f"at or above {shift:.17g}, Lanczos found {found}")
+            return vals, V
+        k = min(kmax, max(k, count) + 1)
 
 
 def spectral_norm_ub(M) -> float:
@@ -334,10 +381,15 @@ def pencil_unit_eigs(C: np.ndarray, alpha: float):
     eigenproblem of ``S^{-1} R``, any other the QZ algorithm.
     """
     C = np.asarray(C, dtype=complex)
-    n = C.shape[0]
     if C.shape[0] != C.shape[1]:
         raise ValueError("C must be square")
-    norm_c = float(np.linalg.norm(C, 2))
+    return _pencil_unit_eigs(C, alpha, float(np.linalg.norm(C, 2)))
+
+
+def _pencil_unit_eigs(C: np.ndarray, alpha: float, norm_c: float):
+    """:func:`pencil_unit_eigs` of a square complex C with ``||C||_2``
+    given, for callers that solve several levels of one C."""
+    n = C.shape[0]
     eye = np.eye(n)
     zero = np.zeros((n, n))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyLevelSet
-from .kernels import hermitian_split, is_pd, pencil_unit_eigs
+from .kernels import _pencil_unit_eigs, hermitian_split, is_pd
 from .param import ParamHermitian, top_cluster
 from .results import MinResult, Status
 
@@ -77,10 +77,16 @@ def level_intervals(C: np.ndarray, alpha: float):
     merged into maximal circular intervals.  Both tests are Cholesky trials.
     """
     C = np.asarray(C, dtype=complex)
+    return _level_intervals(C, alpha, float(np.linalg.norm(C, 2)))
+
+
+def _level_intervals(C: np.ndarray, alpha: float, norm_c: float):
+    """:func:`level_intervals` of a complex C with ``||C||_2`` given, so
+    that one solve takes it once."""
     P = ParamHermitian.trig(*hermitian_split(C))
-    tau = FILTER_TOL * max(1.0, float(np.linalg.norm(C, 2)))
+    tau = FILTER_TOL * max(1.0, norm_c)
     kept = []
-    for t in pencil_unit_eigs(C, alpha):
+    for t in _pencil_unit_eigs(C, alpha, norm_c):
         H = P.evaluate(t).dense
         if _below(H, alpha + tau) and not _below(H, alpha - tau):
             kept.append(t)
@@ -131,6 +137,7 @@ def levelset_minimize(C: np.ndarray, tol: float = TOL_DEFAULT,
     """
     C = np.asarray(C, dtype=complex)
     P = ParamHermitian.trig(*hermitian_split(C))
+    norm_c = float(np.linalg.norm(C, 2))  # one SVD per solve
 
     def lam_max(theta):
         return float(np.linalg.eigvalsh(P.evaluate(theta).dense)[-1])
@@ -144,7 +151,7 @@ def levelset_minimize(C: np.ndarray, tol: float = TOL_DEFAULT,
     note = ""
     for _ in range(max_iter):
         try:
-            intervals = level_intervals(C, r)
+            intervals = _level_intervals(C, r, norm_c)
         except EmptyLevelSet:
             status = Status.CONVERGED
             note = "level set vanished"
@@ -172,8 +179,7 @@ def levelset_minimize(C: np.ndarray, tol: float = TOL_DEFAULT,
     # A level set also vanishes when the filter rejects every crossing; only
     # a stop with 0 (nearly) in the derivative interval is a minimum.
     dist = max(0.0, clarke.lo, -clarke.hi)
-    if status is Status.CONVERGED and dist > STATIONARY_TOL * max(
-            1.0, float(np.linalg.norm(C, 2))):
+    if status is Status.CONVERGED and dist > STATIONARY_TOL * max(1.0, norm_c):
         status = Status.MAX_ITERATIONS
         note = (f"{note or 'stopped'}: not a minimum, 0 lies {dist:.3e} "
                 "from the derivative interval")

@@ -1,10 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from inropt import gallery, kernels
-from inropt.errors import NonHermitianInput
+from inropt.errors import ConvergenceFailure, NonHermitianInput
 from inropt.kernels import (EIG_RESIDUAL_TOL, Basis, HermitianOperator,
                             hermitian_eig, is_pd, largest_eigpairs,
                             orthonormal_extend, pencil_unit_eigs,
@@ -20,6 +23,35 @@ def permuted_qep_matrix(beta, omega, seed):
     M = (np.cos(omega) * A1 + np.sin(omega) * B1).tocsr()
     p = np.random.default_rng(seed).permutation(M.shape[0])
     return M[p][:, p]
+
+
+def triple_top_matrix(complex_copy):
+    """Permuted blockdiag(X, X, X) of a real tridiagonal X with m = 500, or
+    its unitary diagonal similarity D M D^* with complex entries: the top
+    eigenvalue is triple, and the rest of the spectrum lies 0.45 below."""
+    rng = np.random.default_rng(0)
+    m = 500
+    off = rng.standard_normal(m - 1)
+    X = sp.diags([off, rng.standard_normal(m), off], [-1, 0, 1])
+    M = sp.block_diag([X, X, X]).tocsr()
+    p = rng.permutation(3 * m)
+    M = M[p][:, p]
+    if complex_copy:
+        D = sp.diags(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 3 * m)))
+        M = (D @ M @ D.conj()).tocsr()
+    return M
+
+
+def eigsh_recording_k(monkeypatch):
+    """Record the k of every eigsh call the kernels make."""
+    eigsh, ks = spla.eigsh, []
+
+    def recording(A, k, **kw):
+        ks.append(k)
+        return eigsh(A, k=k, **kw)
+
+    monkeypatch.setattr(spla, "eigsh", recording)
+    return ks
 
 
 def lam_max_H(C, theta):
@@ -157,6 +189,91 @@ class TestLargestEigpairs:
             # one PD test closes the bracket, one certifies the result; a
             # high hint is a valid shift too, only a slower one
             assert ldl_calls == 2
+
+    @pytest.mark.parametrize("complex_copy", [False, True],
+                             ids=["real", "complex"])
+    def test_triple_top_grows_k_to_the_counted_cluster(self, complex_copy,
+                                                        monkeypatch):
+        # Lanczos asks for 2 pairs; the inertia count finds 3 eigenvalues
+        # in the cluster, so k grows until all 3 are found
+        M = triple_top_matrix(complex_copy)
+        dense = np.linalg.eigvalsh(M.toarray())[::-1]
+        assert dense[0] - dense[2] <= 1e-13 and dense[2] - dense[3] > 0.1
+        ks = eigsh_recording_k(monkeypatch)
+        vals, vecs = largest_eigpairs(M, eps_cluster=1e-8, max_pairs=10)
+        assert ks[0] == 2 and len(ks) > 1
+        assert all(a < b for a, b in zip(ks, ks[1:]))
+        assert len(vals) == 3
+        np.testing.assert_allclose(vals, dense[:3], rtol=0, atol=1e-12)
+        R = M @ vecs - vecs * vals[np.newaxis, :]
+        assert np.linalg.norm(R, axis=0).max() <= 1e-10
+        assert np.abs(vecs.conj().T @ vecs - np.eye(3)).max() <= 1e-12
+
+    def test_missed_cluster_member_fails_certificate(self, monkeypatch):
+        # Lanczos that skips the second-largest pair still returns true
+        # eigenpairs and the true top; only the inertia count sees that
+        # the cluster is incomplete
+        M = triple_top_matrix(False)
+        eigsh = spla.eigsh
+        ks = []
+
+        def eigsh_without_second(A, k, **kw):
+            ks.append(k)
+            w, V = eigsh(A, k=k + 1, **kw)  # ascending: the top pair is last
+            keep = np.r_[np.arange(k - 1), k]
+            return w[keep], V[:, keep]
+
+        monkeypatch.setattr(spla, "eigsh", eigsh_without_second)
+        with pytest.raises(ConvergenceFailure, match="cluster certificate"):
+            largest_eigpairs(M, eps_cluster=1e-8, max_pairs=10)
+        # growth is strictly monotone up to the cap max_pairs + 1
+        assert ks[-1] == 11
+        assert all(a < b for a, b in zip(ks, ks[1:]))
+
+    def test_pivoted_inertia_count_fails_certificate(self, monkeypatch):
+        # a count from a pivoted factorization is no inertia count; it must
+        # fail, not fall back to the uncertified cluster
+        M = permuted_qep_matrix(0.524, 1.9, seed=2)
+        top = np.linalg.eigvalsh(M.toarray())[-1]
+        diag = M.diagonal()
+        splu = spla.splu
+
+        def splu_pivoting_below_top(A, **kw):
+            lu = splu(A, **kw)
+            if A.diagonal()[0] + diag[0] < top:
+                return SimpleNamespace(perm_r=np.roll(lu.perm_r, 1),
+                                       perm_c=lu.perm_c)
+            return lu
+
+        monkeypatch.setattr(spla, "splu", splu_pivoting_below_top)
+        with pytest.raises(ConvergenceFailure, match="cluster certificate"):
+            largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
+
+    def test_infinite_cluster_returns_max_pairs(self, monkeypatch):
+        # verify_interpolation's call: the p largest pairs, in one Lanczos
+        # solve and without an inertia count
+        M = permuted_qep_matrix(0.524, 1.9, seed=2)
+        dense = np.linalg.eigvalsh(M.toarray())[::-1]
+        ks = eigsh_recording_k(monkeypatch)
+        counts = []
+        inertia = kernels._ldl_inertia
+        monkeypatch.setattr(kernels, "_ldl_inertia",
+                            lambda A: counts.append(1) or inertia(A))
+        ldl_calls = []
+        ldl = kernels._ldl
+        monkeypatch.setattr(kernels, "_ldl",
+                            lambda A: ldl_calls.append(1) or ldl(A))
+        for p in (1, 5):
+            counts.clear()
+            ldl_calls.clear()
+            vals, vecs = largest_eigpairs(M, np.inf, p)
+            assert len(vals) == p
+            np.testing.assert_allclose(vals, dense[:p], rtol=0, atol=1e-12)
+            R = M @ vecs - vecs * vals[np.newaxis, :]
+            assert np.linalg.norm(R, axis=0).max() <= 1e-10
+            # every factorization is a PD test: no count was taken
+            assert len(counts) == len(ldl_calls)
+        assert ks == [2, 6]
 
     def test_lanczos_path_is_deterministic(self):
         # 1024 x 1024 sparse Laplacian takes the Lanczos path; repeated

@@ -95,9 +95,10 @@ class TestLevelIntervals:
         alpha = float(f_of(C)([0.0])[0])
         clean = level_intervals(C, alpha)
         bogus = [clean[0].midpoint, (clean[0].hi + 1e-3) % TWO_PI]
-        pencil = levelset.pencil_unit_eigs
-        monkeypatch.setattr(levelset, "pencil_unit_eigs",
-                            lambda C, a: np.sort(np.r_[pencil(C, a), bogus]))
+        pencil = levelset._pencil_unit_eigs
+        monkeypatch.setattr(levelset, "_pencil_unit_eigs",
+                            lambda C, a, norm_c: np.sort(
+                                np.r_[pencil(C, a, norm_c), bogus]))
         assert level_intervals(C, alpha) == clean
         with pytest.raises(EmptyLevelSet):
             level_intervals(C, 2.0 * np.linalg.norm(C, 2))
@@ -182,3 +183,36 @@ class TestLevelsetMinimize:
             assert res.status is Status.CONVERGED
             dist = max(0.0, res.clarke.lo, -res.clarke.hi)
             assert dist <= 1e-6 * max(1.0, np.linalg.norm(C, 2))
+
+    def test_one_spectral_norm_per_solve(self, monkeypatch):
+        # ||C||_2 is a full SVD; C does not change within a solve, so the
+        # solve takes it once, and every level step keeps the intervals of
+        # the public level_intervals, which takes its own
+        import inropt.levelset as levelset
+        A, B = gallery.cheng_higham7()
+        C = A + 1j * B
+        steps = []
+        helper = levelset._level_intervals
+
+        def recording(C, alpha, norm_c):
+            out = helper(C, alpha, norm_c)
+            steps.append((alpha, out))
+            return out
+
+        svds = []
+        norm = np.linalg.norm
+
+        def counting(x, ord=None, *args, **kwargs):
+            if ord == 2 and np.ndim(x) == 2:
+                svds.append(1)
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(levelset, "_level_intervals", recording)
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        res, _ = levelset_minimize(C)
+        monkeypatch.undo()
+        assert len(svds) == 1
+        assert len(steps) >= 4
+        for alpha, got in steps:
+            assert got == level_intervals(C, alpha)
+        assert res.f_star == pytest.approx(0.8118872239262371, abs=1e-12)
