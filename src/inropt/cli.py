@@ -84,7 +84,7 @@ def _load_pair(args):
 
 def _solver_opts(args):
     """Only the flags given: unset ones take the library defaults."""
-    names = ("tol", "eps_cluster", "gamma", "max_iter", "omega0")
+    names = ("tol", "eps_cluster", "max_iter", "omega0")
     return {k: getattr(args, k) for k in names
             if getattr(args, k) is not None}
 
@@ -264,8 +264,6 @@ def _add_solver_flags(p, trace=True):
     p.add_argument("--eps-cluster", dest="eps_cluster", type=float,
                    default=None,
                    help="eigenvalue cluster width (library default 1e-6)")
-    p.add_argument("--gamma", type=float, default=None,
-                   help="override the curvature lower bound")
     p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     p.add_argument("--omega0", type=float, default=None,
                    help="initial angle (support start / subspace sample)")

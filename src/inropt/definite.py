@@ -68,7 +68,6 @@ class DefiniteRepair:
 def inner_numerical_radius(*, pair, method: str = "auto",
                            tol: float = 1e-12,
                            eps_cluster: float = EPS_CLUSTER_DEFAULT,
-                           gamma: Optional[float] = None,
                            max_iter: Optional[int] = None,
                            omega0: Optional[float] = None) -> InnerRadiusResult:
     """Minimize the largest eigenvalue of the rotated part of A + iB.
@@ -76,7 +75,8 @@ def inner_numerical_radius(*, pair, method: str = "auto",
     ``pair`` is ``(A, B)``; for a matrix C pass ``hermitian_split(C)``.
     ``method`` is one of ``levelset`` (dense, level-set extraction),
     ``support`` (piecewise-quadratic model), ``subspace`` (projection loop,
-    the only choice for large sparse pairs), or ``auto``.
+    the only choice for large sparse pairs), or ``auto``.  ``support`` and
+    ``subspace`` take the curvature bound of :meth:`ParamHermitian.trig`.
     """
     A, B = map(as_hermitian, pair)
     P = ParamHermitian.trig(A, B)
@@ -92,12 +92,10 @@ def inner_numerical_radius(*, pair, method: str = "auto",
         res, _ = _levelset.levelset_minimize(Cd, tol=tol, **iters)
     elif method == "support":
         res = _support.eigopt_minimize(
-            P, gamma=gamma, tol=tol, omega0=omega0, eps_cluster=eps_cluster,
-            **iters)
+            P, tol=tol, omega0=omega0, eps_cluster=eps_cluster, **iters)
     elif method == "subspace":
         res, _ = _subspace.subspace_minimize(
-            P, eps_cluster=eps_cluster, tol=tol, omega1=omega0, gamma=gamma,
-            **iters)
+            P, eps_cluster=eps_cluster, tol=tol, omega1=omega0, **iters)
     else:
         raise ValueError(f"unknown method {method!r}")
     f_star = res.f_star

@@ -44,25 +44,18 @@ PENCIL_RCOND_MIN = 1e-8
 
 
 class HermitianOperator:
-    """A Hermitian matrix held as dense storage or as a sparse matrix.
+    """A Hermitian matrix in the storage it entered with.
 
-    Sparse operators expose matrix-vector products; entry access for the
-    dense fallback is available through :attr:`dense` (used below the
-    ``DENSE_THRESHOLD`` regime).
+    ``raw`` is a dense ndarray or a CSR matrix, fixed at construction;
+    whether the matrix is dense, its dense view and its products all follow
+    from it.
     """
 
     def __init__(self, mat, check: bool = True):
-        if sp.issparse(mat):
-            self._sparse = mat.tocsr()
-            self._dense = None
-            n, m = mat.shape
-        else:
-            arr = np.asarray(mat)
-            if arr.ndim != 2:
-                raise ValueError("expected a 2-d matrix")
-            self._sparse = None
-            self._dense = arr
-            n, m = arr.shape
+        self.raw = mat.tocsr() if sp.issparse(mat) else np.asarray(mat)
+        if self.raw.ndim != 2:
+            raise ValueError("expected a 2-d matrix")
+        n, m = self.raw.shape
         if n != m or n < 1:
             raise ValueError(f"expected a square matrix, got shape {(n, m)}")
         self.dim = n
@@ -70,14 +63,10 @@ class HermitianOperator:
             self._check_hermitian()
 
     def _check_hermitian(self):
-        if self._dense is not None:
-            M = self._dense
-            dev = np.max(np.abs(M - M.conj().T))
-            scale = max(1.0, float(np.linalg.norm(M)))
-        else:
-            D = (self._sparse - self._sparse.conj().T).tocoo()
-            dev = np.max(np.abs(D.data)) if D.nnz else 0.0
-            scale = max(1.0, float(sp.linalg.norm(self._sparse)))
+        M = self.raw
+        dev = abs(M - M.conj().T).max()
+        norm = np.linalg.norm if self.is_dense else spla.norm
+        scale = max(1.0, float(norm(M)))
         if dev > HERMITIAN_TOL * scale:
             raise NonHermitianInput(
                 f"symmetry deviation {dev:.3e} exceeds {HERMITIAN_TOL:.0e} * {scale:.3e}"
@@ -85,25 +74,18 @@ class HermitianOperator:
 
     @property
     def is_dense(self) -> bool:
-        return self._dense is not None
+        return isinstance(self.raw, np.ndarray)
 
     @property
     def dense(self) -> np.ndarray:
         """Dense view of the matrix (materializes sparse storage)."""
-        if self._dense is None:
-            return self._sparse.toarray()
-        return self._dense
-
-    @property
-    def raw(self):
-        """Underlying storage, dense array or CSR matrix."""
-        return self._sparse if self._sparse is not None else self._dense
+        return self.raw if self.is_dense else self.raw.toarray()
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.raw @ x
 
     def __repr__(self):
-        kind = "sparse" if self._sparse is not None else "dense"
+        kind = "dense" if self.is_dense else "sparse"
         return f"HermitianOperator(dim={self.dim}, {kind})"
 
 

@@ -31,7 +31,12 @@ class Term:
 
 
 class ParamHermitian:
-    """Hermitian family A(w) = sum_j f_j(w) A_j over a closed interval."""
+    """Hermitian family A(w) = sum_j f_j(w) A_j over a closed interval.
+
+    A(w) is assembled in the storage and dtype of its terms: a family with
+    any sparse term evaluates to CSR, a dense one to an array whose dtype
+    is that of the sum, so a real family evaluates in real arithmetic.
+    """
 
     def __init__(self, terms: Sequence[Term], omega_range):
         if not terms:
@@ -43,6 +48,12 @@ class ParamHermitian:
         if a > b:
             raise ValueError("domain interval must satisfy a <= b")
         self.terms = tuple(terms)
+        # Storage for evaluation, chosen once: all CSR when any term is
+        # sparse, else the dense arrays as given.  project() reads the terms.
+        mats = [t.matrix.raw for t in self.terms]
+        if not all(t.matrix.is_dense for t in self.terms):
+            mats = [sp.csr_matrix(M) for M in mats]
+        self._mats = tuple(mats)
         self.omega_range = (a, b)
         self.is_trig = False  # only trig() sets it; project() carries it
         self.dim = dims.pop()
@@ -65,17 +76,11 @@ class ParamHermitian:
     def _combine(self, coeffs) -> HermitianOperator:
         if any(np.imag(c) != 0 for c in coeffs):  # keeps A(w) Hermitian
             raise NonHermitianInput(f"complex coefficients {coeffs!r}")
-        mats = [t.matrix for t in self.terms]
-        if all(m.is_dense for m in mats):
-            out = coeffs[0] * mats[0].dense.astype(complex, copy=True)
-            for c, m in zip(coeffs[1:], mats[1:]):
-                out += c * m.dense
-            return HermitianOperator(out, check=False)
-        acc = None
-        for c, m in zip(coeffs, mats):
-            part = c * (m.raw if not m.is_dense else sp.csr_matrix(m.dense))
-            acc = part if acc is None else acc + part
-        return HermitianOperator(acc, check=False)
+        # Folded from the first term: sum() would start from the int 0.
+        out = coeffs[0] * self._mats[0]
+        for c, M in zip(coeffs[1:], self._mats[1:]):
+            out = out + c * M
+        return HermitianOperator(out, check=False)
 
     def evaluate(self, omega: float) -> HermitianOperator:
         """A(w).  Evaluation outside the domain is permitted (line searches)."""

@@ -9,7 +9,10 @@ must stay valid command lines.
 """
 
 import ast
+import csv
 import importlib
+import io
+import json
 import shlex
 from pathlib import Path
 
@@ -63,11 +66,16 @@ def test_workload_keywords_accepted():
     assert is_hyperbolic(*gallery.qep_mass_spring4(), **opts)[1] is not None
 
 
-def _readme_cli_lines():
+def _readme_cli_block():
+    """The ``inropt ...`` lines of the README's CLI block, in order."""
     text = (ROOT / "README.md").read_text()
     block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("inropt ")]
+
+
+def _readme_cli_lines():
     return [shlex.split(line, comments=True)[1:]
-            for line in block.splitlines() if line.startswith("inropt ")]
+            for line in _readme_cli_block()]
 
 
 def test_readme_has_cli_lines():
@@ -77,3 +85,26 @@ def test_readme_has_cli_lines():
 @pytest.mark.parametrize("argv", _readme_cli_lines(), ids=" ".join)
 def test_readme_cli_line_parses(argv):
     cli.build_parser().parse_args(argv)
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # Each line reads the files the lines before it wrote.
+    monkeypatch.chdir(tmp_path)
+    for line in _readme_cli_block():
+        argv = shlex.split(line, comments=True)[1:]
+        assert cli.main(argv) == 0, line
+        text = capsys.readouterr().out
+        written = [w.strip() for w in line.partition("# writes ")[2].split(",")
+                   if w.strip()]
+        if "--out" in argv:
+            out = argv[argv.index("--out") + 1]
+            written.append(out)
+            text = Path(out).read_text()
+        if argv[0] == "fov":
+            rows = list(csv.reader(io.StringIO(text)))
+            assert rows[0] == ["kind", "theta", "re", "im"], line
+            assert all(len(r) == 4 for r in rows[1:]) and len(rows) > 1, line
+        else:
+            written += json.loads(text).get("files", {}).values()
+        for path in written:
+            assert Path(path).is_file(), (line, path)

@@ -169,6 +169,13 @@ class TestInr:
         assert exc.value.code == 1
         assert "error: " in capsys.readouterr().err
 
+    def test_gamma_flag_is_a_usage_error(self, ch_files, capsys):
+        # The trigonometric curvature bound is always valid: not settable.
+        with pytest.raises(SystemExit) as exc:
+            main(["inr", "--pair", *ch_files, "--gamma", "-1"])
+        assert exc.value.code == 1
+        assert "--gamma" in capsys.readouterr().err
+
     def test_help_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

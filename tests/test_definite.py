@@ -82,6 +82,10 @@ class TestInnerNumericalRadius:
             with pytest.raises(expected):
                 inner_numerical_radius(pair=pair, method="auto")
 
+    def test_gamma_is_not_a_keyword(self):
+        with pytest.raises(TypeError):
+            inner_numerical_radius(pair=gallery.cheng_higham7(), gamma=-1.0)
+
     def test_zeta_rotation_invariance(self):
         rng = np.random.default_rng(41)
         C = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))

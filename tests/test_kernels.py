@@ -97,6 +97,11 @@ class TestHermitianEig:
         M = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(NonHermitianInput):
             hermitian_eig(M)
+        one_entry = sp.csr_matrix(([2.0], ([0], [1])), shape=(3, 3))
+        with pytest.raises(NonHermitianInput):
+            hermitian_eig(one_entry)
+        zero = hermitian_eig(sp.csr_matrix((3, 3)))
+        assert np.array_equal(zero.values, np.zeros(3))
 
 
 class TestLargestEigpairs:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from inropt import gallery
 from inropt.errors import NonHermitianInput
@@ -73,6 +74,69 @@ class TestDerivativeMatrix:
             fd = (P.evaluate(w + h).dense - P.evaluate(w - h).dense) / (2 * h)
             np.testing.assert_allclose(P.derivative_matrix(w).dense, fd,
                                        atol=1e-8)
+
+
+def complex_sum(coeffs, mats):
+    """The all-complex dense sum c0*A0 + c1*A1 + ..., folded from A0."""
+    out = coeffs[0] * mats[0].astype(complex)
+    for c, M in zip(coeffs[1:], mats[1:]):
+        out = out + c * M
+    return out
+
+
+def both_matrices(P, w):
+    """(coefficients, matrix) of A(w) and of A'(w)."""
+    return [([t.fun(w) for t in P.terms], P.evaluate(w)),
+            ([t.dfun(w) for t in P.terms], P.derivative_matrix(w))]
+
+
+class TestStorageAndDtype:
+    """A(w) keeps the storage and dtype of its terms."""
+
+    def test_real_pair_evaluates_in_real_arithmetic(self):
+        A, B = gallery.cheng_higham7()
+        P = ParamHermitian.trig(A, B)
+        for w in (0.0, 0.7, 1.42389490240968, 4.4):
+            for coeffs, M in both_matrices(P, w):
+                ref = complex_sum(coeffs, [A, B])
+                assert M.raw.dtype == np.float64
+                assert np.all(ref.imag == 0.0)
+                assert np.array_equal(M.raw, ref.real)
+
+    def test_complex_dense_family_unchanged(self):
+        A, B = random_trig_pair(6, np.random.default_rng(5))
+        P = ParamHermitian.trig(A, B)
+        for w in (0.3, 2.1, 5.0):
+            for coeffs, M in both_matrices(P, w):
+                assert np.array_equal(M.raw, complex_sum(coeffs, [A, B]))
+
+    def test_sparse_family_unchanged(self):
+        A1, B1 = gallery.qep_linearization(*gallery.qep_mass_spring(30, 0.5))
+        P = ParamHermitian.trig(A1, B1)
+        for w in (0.3, 1.9):
+            for (c0, c1), M in both_matrices(P, w):
+                assert not M.is_dense
+                assert np.array_equal(M.dense, (c0 * A1 + c1 * B1).toarray())
+
+    def test_mixed_storage_converts_once(self, monkeypatch):
+        A = np.diag([1.0, 2.0, 3.0])
+        B = sp.csr_matrix(np.array([[0.0, 1.0, 0.0],
+                                    [1.0, 0.0, 0.0],
+                                    [0.0, 0.0, -1.0]]))
+        P = ParamHermitian.trig(A, B)
+        calls = []
+        real_csr = sp.csr_matrix
+
+        def counting_csr(*args, **kwargs):
+            calls.append(args)
+            return real_csr(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "csr_matrix", counting_csr)
+        for w in (0.3, 2.5):
+            for (c0, c1), M in both_matrices(P, w):
+                assert not M.is_dense
+                assert np.array_equal(M.dense, c0 * A + c1 * B.toarray())
+        assert calls == []
 
 
 class TestEigMaxEval:
