@@ -4,8 +4,8 @@
 method in ``METHODS`` by name and stops with "no binding ... found" when one
 is gone.  Its tables are read here as literals, without importing it.
 ``perfbench/workloads.py`` calls the definiteness layer with the keywords
-``pair``, ``method``, ``omega0`` and ``delta``, and the README's CLI block
-must stay valid command lines.
+``pair``, ``method``, ``omega0`` and ``delta``, and every line of the
+README's CLI block must parse and run.
 """
 
 import ast
