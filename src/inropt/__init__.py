@@ -3,10 +3,10 @@ families, with applications to the inner numerical radius, definite
 pencils, nearest definite pairs, QEP hyperbolicity, and saddle-point
 shifts."""
 
-from .errors import (ConvergenceFailure, DegenerateSupports, EmptyLevelSet,
-                     InroptError, InvalidGamma, InvalidParams,
-                     NonHermitianInput, NotPositiveDefiniteMass,
-                     ReducedSolveFailure, SingularPencil, VerificationFailure)
+from .errors import (ConvergenceFailure, EmptyLevelSet, InroptError,
+                     InvalidGamma, InvalidParams, NonHermitianInput,
+                     NotPositiveDefiniteMass, ReducedSolveFailure,
+                     SingularPencil, VerificationFailure)
 from .kernels import (Basis, EigDecomposition, HermitianOperator,
                       hermitian_eig, largest_eigpairs, orthonormal_extend,
                       pencil_unit_eigs, spectral_norm_ub)
@@ -28,13 +28,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Basis", "CircularInterval", "ClarkeInterval", "ConvergenceFailure",
-    "CrawfordResult", "DefiniteRepair", "DegenerateSupports",
-    "EigDecomposition", "EigEval", "EmptyLevelSet", "HermitianOperator",
-    "InnerRadiusResult", "InroptError", "InvalidGamma", "InvalidParams",
-    "LevelSetTrace", "MinResult", "NonHermitianInput",
-    "NotPositiveDefiniteMass", "ParamHermitian", "PiecewiseModel",
-    "ReducedSolveFailure", "SingularPencil", "Status", "SubspaceState",
-    "SupportPoint", "Term", "VerificationFailure", "clarke_interval",
+    "CrawfordResult", "DefiniteRepair", "EigDecomposition", "EigEval",
+    "EmptyLevelSet", "HermitianOperator", "InnerRadiusResult",
+    "InroptError", "InvalidGamma", "InvalidParams", "LevelSetTrace",
+    "MinResult", "NonHermitianInput", "NotPositiveDefiniteMass",
+    "ParamHermitian", "PiecewiseModel", "ReducedSolveFailure",
+    "SingularPencil", "Status", "SubspaceState", "SupportPoint", "Term",
+    "VerificationFailure", "clarke_interval",
     "crawford_number", "default_gamma_trig", "eig_max_eval",
     "eigenpair_backmap", "eigopt_minimize", "eigopt_minimize_callback",
     "gallery", "hermitian_eig", "inner_numerical_radius", "is_hyperbolic",

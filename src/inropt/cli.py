@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -357,30 +355,15 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
 
-    with ExitStack() as stack:
-        threads = os.environ.get("INR_OPT_THREADS")
-        if threads:
-            try:
-                limit = int(threads)
-                if limit < 1:
-                    raise ValueError(threads)
-                from threadpoolctl import threadpool_limits
-                stack.enter_context(threadpool_limits(limit))
-            except ImportError:
-                print("note: INR_OPT_THREADS ignored: threadpoolctl is not "
-                      "installed", file=sys.stderr)
-            except ValueError:
-                print(f"note: INR_OPT_THREADS ignored: {threads!r} is not a "
-                      "positive integer", file=sys.stderr)
-        try:
-            return args.fn(args)
-        except (InroptError, ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            if isinstance(exc, VerificationFailure):
-                return EXIT_VERIFICATION
-            if isinstance(exc, ConvergenceFailure):
-                return EXIT_NOT_CONVERGED
-            return EXIT_ERROR
+    try:
+        return args.fn(args)
+    except (InroptError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, VerificationFailure):
+            return EXIT_VERIFICATION
+        if isinstance(exc, ConvergenceFailure):
+            return EXIT_NOT_CONVERGED
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

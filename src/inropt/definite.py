@@ -239,7 +239,7 @@ def saddle_shift(S, n: int, m: int, method: str = "auto", **opts):
     M = Sop.dense - mu * np.diag(signs)
     M = (M + M.conj().T) / 2.0
     lam_min = float(np.linalg.eigvalsh(M)[0])
-    if not is_pd(M) and lam_min <= 0.0:
+    if not is_pd(M):
         raise VerificationFailure(
             f"definite pair but S - mu*J has lambda_min = {lam_min:.3e}")
     return float(mu), lam_min

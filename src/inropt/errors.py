@@ -23,11 +23,7 @@ class EmptyLevelSet(InroptError):
 
 
 class InvalidGamma(InroptError):
-    """Curvature bound is non-negative after the substitution rule."""
-
-
-class DegenerateSupports(InroptError):
-    """Two quadratic supports coincide on the query interval."""
+    """Curvature bound is missing or positive."""
 
 
 class ReducedSolveFailure(ConvergenceFailure):

@@ -234,8 +234,8 @@ def support_slope(P: ParamHermitian, omega: float):
 def default_gamma_trig(A, B) -> float:
     """Lower curvature bound -(||A||_2 + ||B||_2) for the rotated part.
 
-    Returns 0.0 only when both matrices vanish; the optimizer substitutes a
-    tiny negative value in that case.
+    Returns 0.0 only when both matrices vanish, where affine supports
+    bound the constant zero function.
     """
     return -(spectral_norm_ub(A) + spectral_norm_ub(B))
 

@@ -2,7 +2,7 @@
 
 The objective lambda_max(A(w)) is bounded from below by concave quadratics
 q_k(w) = value_k + slope_k (w - w_k) + (gamma/2)(w - w_k)^2 with a shared
-curvature bound gamma < 0.  The pointwise maximum of the supports is a
+curvature bound gamma <= 0.  The pointwise maximum of the supports is a
 certified under-estimator whose exact global minimum over the domain is
 tracked with an interval priority queue: between two adjacent support
 abscissae the model reduces to the max of the two bounding quadratics, so
@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSupports, InvalidGamma
+from .errors import InvalidGamma
 from .param import EPS_CLUSTER_DEFAULT, ParamHermitian, default_gamma_trig, \
     top_cluster
 from .results import MinResult, Status
@@ -48,13 +48,37 @@ class SupportPoint:
         return self.value + self.slope * d + 0.5 * self.gamma * d * d
 
 
+def _segment_min(s1: SupportPoint, s2: SupportPoint, lo, hi):
+    """(argmin, value) of max(q1, q2) over [lo, hi] for a shared gamma.
+
+    With equal curvature the difference of the quadratics is affine, so the
+    max switches branches at most once and the minimum of the concave (or
+    affine) pieces sits at lo, at hi, or at the crossing when it lies
+    strictly inside.
+    """
+    g = s1.gamma
+    # q_i(w) = (g/2) w^2 + b_i w + c_i
+    db = (s1.slope - g * s1.omega) - (s2.slope - g * s2.omega)
+    dc = (s1.value - s1.slope * s1.omega + 0.5 * g * s1.omega ** 2) \
+        - (s2.value - s2.slope * s2.omega + 0.5 * g * s2.omega ** 2)
+    cands = [lo, hi]
+    if abs(db) > 1e-300:
+        cross = -dc / db
+        if lo < cross < hi:
+            cands.append(cross)
+    best = None
+    for w in cands:
+        val = max(s1.q(w), s2.q(w))
+        if best is None or val < best[1] or (val == best[1] and w < best[0]):
+            best = (w, val)
+    return best
+
+
 def two_support_intersection(s1: SupportPoint, s2: SupportPoint, interval):
     """Minimizer of max(q1, q2) over [lo, hi] for supports sharing gamma.
 
-    With equal curvature the difference of the quadratics is affine, so the
-    max switches branches at most once; the minimum sits at that crossing or
-    at the better endpoint.  Raises DegenerateSupports when the two
-    quadratics coincide (the caller falls back to the interval midpoint).
+    The minimum sits at an endpoint or at the crossing of the quadratics;
+    coinciding quadratics are least at an endpoint.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not s1.omega < s2.omega:
@@ -63,26 +87,7 @@ def two_support_intersection(s1: SupportPoint, s2: SupportPoint, interval):
         raise ValueError("supports must share the curvature bound")
     if lo > hi:
         raise ValueError("empty interval")
-    g = s1.gamma
-    # q_i(w) = (g/2) w^2 + b_i w + c_i
-    b1 = s1.slope - g * s1.omega
-    b2 = s2.slope - g * s2.omega
-    c1 = s1.value - s1.slope * s1.omega + 0.5 * g * s1.omega ** 2
-    c2 = s2.value - s2.slope * s2.omega + 0.5 * g * s2.omega ** 2
-    db, dc = b1 - b2, c1 - c2
-    if abs(db) <= 1e-300:
-        if abs(dc) <= 1e-15 * max(abs(c1), abs(c2), 1.0):
-            raise DegenerateSupports("identical quadratics on the interval")
-        cands = [lo, hi]
-    else:
-        cross = -dc / db
-        cands = [lo, hi] + ([cross] if lo < cross < hi else [])
-    best = None
-    for w in cands:
-        val = max(s1.q(w), s2.q(w))
-        if best is None or val < best[1] or (val == best[1] and w < best[0]):
-            best = (w, val)
-    return best
+    return _segment_min(s1, s2, lo, hi)
 
 
 class _Gap:
@@ -93,19 +98,9 @@ class _Gap:
     def __init__(self, lo, hi, left: Optional[SupportPoint],
                  right: Optional[SupportPoint]):
         self.lo, self.alive = lo, True
-        if left is None or right is None:
-            # Edge segment: the model equals the single bounding quadratic,
-            # which is concave, so the minimum sits at an endpoint.
-            s = left if right is None else right
-            vlo, vhi = s.q(lo), s.q(hi)
-            self.argmin, self.value = (lo, vlo) if vlo <= vhi else (hi, vhi)
-        else:
-            try:
-                self.argmin, self.value = two_support_intersection(
-                    left, right, (lo, hi))
-            except DegenerateSupports:
-                mid = 0.5 * (lo + hi)
-                self.argmin, self.value = mid, left.q(mid)
+        # An edge segment has one support, which bounds it alone.
+        self.argmin, self.value = _segment_min(left or right, right or left,
+                                               lo, hi)
 
 
 class PiecewiseModel:
@@ -203,8 +198,8 @@ def _run_support(eval_fn: Callable[[float], tuple], omega_range, gamma,
         omega0 = 0.5 * (a + b)
     if not a <= omega0 <= b:
         raise ValueError("omega0 outside the domain")
-    if gamma is not None and gamma > 0:
-        raise InvalidGamma(f"curvature bound must be negative, got {gamma}")
+    if gamma is None or gamma > 0:
+        raise InvalidGamma(f"curvature bound must be <= 0, got {gamma}")
 
     model = PiecewiseModel((a, b), gamma)
     points: list[float] = []
@@ -213,10 +208,6 @@ def _run_support(eval_fn: Callable[[float], tuple], omega_range, gamma,
         if a <= w <= b and not model.near(w, points):
             points.append(w)
     rows = [(w, *eval_fn(w)) for w in points]
-    if gamma is None or gamma == 0.0:
-        # Degenerate curvature: keep the quadratics strictly concave.
-        scale = max(1.0, max(abs(val) for _, val, _, _ in rows))
-        model.gamma = -1e-8 * scale
 
     trace = []
     # omega0 is evaluated first and stays the incumbent until beaten.
@@ -228,7 +219,7 @@ def _run_support(eval_fn: Callable[[float], tuple], omega_range, gamma,
             if val < u:
                 u, best_omega, best = val, w, record
             trace.append((len(trace), w, val, ell))
-            model.insert(SupportPoint(w, val, slope, model.gamma))
+            model.insert(SupportPoint(w, val, slope, gamma))
         if k >= max_iter:
             break
         w, ell_next = model.peek_min()

@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import sys
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -105,25 +104,6 @@ class TestInr:
         code, _ = run_json("inr", "--pair", pa, pb, "--method", "support",
                            "--max-iter", "0")
         assert code == 2
-
-    @pytest.mark.parametrize("value, reason", [
-        ("2", "threadpoolctl is not installed"),
-        ("0", "'0' is not a positive integer"),
-        ("two", "'two' is not a positive integer")])
-    def test_ignored_thread_limit_is_noted(self, ch_files, monkeypatch,
-                                           capsys, value, reason):
-        pa, pb = ch_files
-        argv = ["inr", "--pair", pa, pb, "--method", "support"]
-        monkeypatch.delenv("INR_OPT_THREADS", raising=False)
-        assert main(argv) == 0
-        plain = capsys.readouterr()
-        assert plain.err == ""
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        monkeypatch.setenv("INR_OPT_THREADS", value)
-        assert main(argv) == 0
-        noted = capsys.readouterr()
-        assert noted.out == plain.out
-        assert noted.err == f"note: INR_OPT_THREADS ignored: {reason}\n"
 
     @pytest.mark.parametrize("target", ["reduced_solve", "eigensolver"])
     def test_raised_nonconvergence_exit_code(self, ch_files, monkeypatch,

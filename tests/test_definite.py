@@ -8,7 +8,7 @@ from inropt import gallery
 from inropt.definite import (crawford_number, eigenpair_backmap,
                              inner_numerical_radius, is_hyperbolic,
                              nearest_definite_pair, rotate_pair, saddle_shift)
-from inropt.errors import NotPositiveDefiniteMass
+from inropt.errors import NotPositiveDefiniteMass, VerificationFailure
 
 from oracles import grid_min_trig, random_hermitian, random_trig_pair
 
@@ -274,3 +274,10 @@ class TestSaddleShift:
         M = S - mu * J
         assert np.linalg.eigvalsh(M)[0] > 0
         assert lam_min == pytest.approx(np.linalg.eigvalsh(M)[0], rel=1e-10)
+
+    def test_shift_decided_by_the_pd_test_alone(self, monkeypatch):
+        # eigvalsh reads lambda_min > 0 here; a failed PD test still rejects
+        import inropt.definite as definite
+        monkeypatch.setattr(definite, "is_pd", lambda M: False)
+        with pytest.raises(VerificationFailure):
+            saddle_shift(np.diag([2.0, -1.0]), 1, 1, method="support")

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from inropt import gallery
-from inropt.errors import DegenerateSupports, InvalidGamma
-from inropt.param import ParamHermitian
+from inropt.errors import InvalidGamma
+from inropt.kernels import HermitianOperator
+from inropt.param import ParamHermitian, Term
 from inropt.results import Status
 from inropt.support import (DUPLICATE_REL, PERTURB_REL, PiecewiseModel,
                             SupportPoint, eigopt_minimize,
@@ -52,8 +53,8 @@ class TestTwoSupportIntersection:
         g = -2.0
         s1 = SupportPoint(-1.0, 0.5 * g, -g, g)
         s2 = SupportPoint(1.0, 0.5 * g, g, g)
-        with pytest.raises(DegenerateSupports):
-            two_support_intersection(s1, s2, (-1.0, 1.0))
+        # the concave model is least at an endpoint (the left one on a tie)
+        assert two_support_intersection(s1, s2, (-1.0, 1.0)) == (-1.0, -1.0)
 
 
 class TestPiecewiseModel:
@@ -147,6 +148,11 @@ class TestCallbackSolver:
             eigopt_minimize_callback(lambda w: (w, 1.0), (0.0, 1.0),
                                      gamma=0.5)
 
+    def test_missing_gamma_rejected(self):
+        with pytest.raises(InvalidGamma):
+            eigopt_minimize_callback(lambda w: (w, 1.0), (0.0, 1.0),
+                                     gamma=None)
+
     def test_narrow_domain_duplicate_ends_on_collision(self):
         # On a domain narrower than 1 a near-duplicate iterate used to pass
         # the guard and then make the model insert raise.
@@ -219,6 +225,26 @@ class TestEigoptMinimize:
             eigopt_minimize(P)
         res = eigopt_minimize(P, gamma=-1e-6, tol=1e-10)
         assert res.f_star == pytest.approx(0.0, abs=1e-8)
+
+    @pytest.mark.parametrize("domain", [(-1.0, 2.0), (-3.0, 1.0)])
+    def test_coinciding_supports_keep_the_bound(self, domain):
+        # f(w) = -w^2/2 has curvature exactly gamma, so every support is f
+        # itself; a segment between two of them is least at an endpoint,
+        # not at its midpoint.
+        t = Term(lambda w: -0.5 * w * w, lambda w: -w,
+                 HermitianOperator(np.eye(1)))
+        res = eigopt_minimize(ParamHermitian([t], domain), gamma=-1.0)
+        assert res.status is Status.CONVERGED
+        assert res.f_star == -0.5 * max(abs(x) for x in domain) ** 2
+        assert res.lower_bound <= res.f_star
+
+    def test_zero_pair_converges_on_the_seeds(self):
+        # gamma = 0: affine supports bound the constant zero function
+        Z = np.zeros((3, 3))
+        res = eigopt_minimize(ParamHermitian.trig(Z, Z))
+        assert res.status is Status.CONVERGED
+        assert res.iterations <= 10
+        assert res.lower_bound <= res.f_star == 0.0
 
     @pytest.mark.parametrize("tol", [1e-12, 0.0])
     def test_clarke_reuses_the_best_evaluation(self, monkeypatch, tol):
