@@ -15,7 +15,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NotPositiveDefiniteMass, VerificationFailure
+from .errors import (ConvergenceFailure, NotPositiveDefiniteMass,
+                     VerificationFailure)
 from .gallery import qep_linearization
 from .kernels import (as_hermitian, below_dense_threshold, hermitian_eig,
                       hermitian_split, is_pd)
@@ -120,6 +121,19 @@ def crawford_number(A, B, method: str = "auto", **opts) -> CrawfordResult:
     return CrawfordResult(gamma=gamma, is_definite=definite, witness=res)
 
 
+def _converged_crawford(A, B, method: str, opts) -> CrawfordResult:
+    """:func:`crawford_number`, raising ConvergenceFailure when its solve
+    stopped short, for callers that build on the minimizing angle."""
+    cr = crawford_number(A, B, method=method, **opts)
+    opt = cr.witness.opt
+    if not opt.converged:
+        note = f": {opt.note}" if opt.note else ""
+        raise ConvergenceFailure(
+            f"Crawford number solve did not converge "
+            f"({opt.status.value}){note}")
+    return cr
+
+
 def rotate_pair(A, B, theta: float):
     """(A_theta, B_theta) = (A cos t + B sin t, -A sin t + B cos t)."""
     A = as_hermitian(A).dense
@@ -150,7 +164,8 @@ def nearest_definite_pair(A, B, delta: float, method: str = "auto",
     (``variant='clip'``) or the uniform shift ``-d*cos/sin(theta)*I``
     (``variant='uniform'``).  The returned rotation angle psi makes
     B_tilde positive definite with smallest eigenvalue max(delta, gamma).
-    All certificate checks run before returning.
+    All certificate checks run before returning; a Crawford solve that
+    stops short raises ConvergenceFailure.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -158,7 +173,7 @@ def nearest_definite_pair(A, B, delta: float, method: str = "auto",
         raise ValueError("variant must be 'clip' or 'uniform'")
     Ah = as_hermitian(A).dense
     Bh = as_hermitian(B).dense
-    cr = crawford_number(Ah, Bh, method=method, **opts)
+    cr = _converged_crawford(Ah, Bh, method, opts)
     theta = cr.witness.theta_star
     # The A part of rotate_pair(Ah, Bh, theta), without its checks and B part.
     H = Ah * np.cos(theta) + Bh * np.sin(theta)
@@ -221,14 +236,15 @@ def saddle_shift(S, n: int, m: int, method: str = "auto", **opts):
     the boundary angle of the field of values gives the shift
     mu = cos(phi - pi/2) / sin(phi - pi/2), and S - mu*J is verified
     positive definite.  Returns ``(mu, lambda_min)`` or ``None`` when the
-    pair is indefinite.
+    pair is indefinite.  A Crawford solve that stops short raises
+    ConvergenceFailure.
     """
     Sop = as_hermitian(S)
     if Sop.dim != n + m:
         raise ValueError("S must have dimension n + m")
     signs = np.concatenate([np.ones(n), -np.ones(m)])
     J = sp.diags(signs).tocsr() if not Sop.is_dense else np.diag(signs)
-    cr = crawford_number(Sop, J, method=method, **opts)
+    cr = _converged_crawford(Sop, J, method, opts)
     if not cr.is_definite:
         return None
     phi_b = cr.witness.phi

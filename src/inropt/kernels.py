@@ -5,8 +5,10 @@ definiteness layer) goes through the small set of operations in this module:
 Hermitian eigendecomposition, positive-definiteness tests (Cholesky for
 dense, symmetric LDL^T for sparse storage), clustered largest-eigenpair
 extraction, unit-circle pencil eigenvalues, and orthonormal basis extension.
-On large sparse operators shift-invert Lanczos starts from two pairs, and
-an LDL^T inertia count certifies the size of the cluster it returns.
+On large sparse operators one loose Lanczos cycle moves the bracketed shift
+just above the largest eigenvalue, shift-invert Lanczos starts from two
+pairs, and an LDL^T inertia count certifies the size of the cluster it
+returns.
 
 All types are immutable after construction and safe to share across threads;
 every operation is a pure function of its inputs.
@@ -31,6 +33,11 @@ EIG_RESIDUAL_TOL = 1e-10
 # The sparse path brackets lambda_max to this width, relative to ||M||_1,
 # before shift-invert Lanczos.
 SHIFT_REL_WIDTH = 1e-3
+# A loose Lanczos cycle at the bracketed shift estimates lambda_max from
+# below, to this relative tolerance on its Ritz value; the shift then moves
+# to the estimate plus REFINED_REL_GAP * ||M||_1 if that shift tests PD.
+REFINE_TOL = 1e-2
+REFINED_REL_GAP = 1e-5
 # Hermitian symmetry tolerance, relative to max(1, ||M||_F).
 HERMITIAN_TOL = 1e-12
 # orthonormal_extend drops a vector whose remainder is below this fraction
@@ -247,19 +254,24 @@ def _top_eigpairs_sparse(op: HermitianOperator, eps_cluster: float,
        ``lower`` above ``max_i M_ii`` first takes one PD test at
        ``lower + width``: if it passes, that is sigma; if it fails, it
        raises the lower end of the bisection.
-    2. Solve: Lanczos on ``(sigma*I - M)^{-1}`` for ``k = 2`` pairs, whose
+    2. Refine: :func:`_refine_shift` runs one loose ``k = 1`` Lanczos cycle
+       on ``(sigma*I - M)^{-1}``; its Ritz value estimates lambda_max from
+       below, and a shift ``REFINED_REL_GAP * ||M||_1`` above the estimate
+       replaces sigma if it passes its PD test.  Lanczos converges at a
+       rate set by how close sigma sits above lambda_max.
+    3. Solve: Lanczos on ``(sigma*I - M)^{-1}`` for ``k = 2`` pairs, whose
        largest eigenvalues ``1/(sigma - lambda)`` belong to the largest
        eigenvalues of M and are well separated even when M's are clustered.
-    3. Eigenpairs: Rayleigh-Ritz on the Lanczos vectors, verified residuals.
-    4. Certificate of the top: ``(lambda_0 + EIG_RESIDUAL_TOL*||M||_1)*I - M``
+    4. Eigenpairs: Rayleigh-Ritz on the Lanczos vectors, verified residuals.
+    5. Certificate of the top: ``(lambda_0 + EIG_RESIDUAL_TOL*||M||_1)*I - M``
        must be positive definite, so by Sylvester's law of inertia no
        eigenvalue lies above the reported one.
-    5. Certificate of the cluster (the spectral-transformation Lanczos check
+    6. Certificate of the cluster (the spectral-transformation Lanczos check
        of Ericsson and Ruhe): the inertia count of ``s*I - M`` at
        ``s = lambda_0 - eps_cluster - EIG_RESIDUAL_TOL*||M||_1`` is the
        number of eigenvalues at or above s.  While it exceeds the Ritz
        values found there, k grows strictly, to ``min(kmax, max(k, count)
-       + 1)`` with ``kmax = min(max_pairs + 1, n - 1)``, and steps 2-5
+       + 1)`` with ``kmax = min(max_pairs + 1, n - 1)``, and steps 3-6
        repeat.  A count that still exceeds them at ``kmax``, with fewer than
        ``max_pairs`` cluster values found, raises ConvergenceFailure, as
        does a pivoted count.  An infinite ``eps_cluster`` asks for ``kmax``
@@ -292,9 +304,10 @@ def _top_eigpairs_sparse(op: HermitianOperator, eps_cluster: float,
         if lu is None:
             raise ConvergenceFailure(
                 f"no positive definite shift found above {lo:.17g}")
-    inverse = spla.LinearOperator(M.shape, matvec=lu.solve, dtype=M.dtype)
     # A fixed start vector makes repeated calls return the same bits.
     v0 = np.random.default_rng(12345).standard_normal(n).astype(M.dtype)
+    lu = _refine_shift(M, eye, hi, lu, v0, scale)
+    inverse = spla.LinearOperator(M.shape, matvec=lu.solve, dtype=M.dtype)
     kmax = min(max_pairs + 1, n - 1)
     k = kmax if np.isinf(eps_cluster) else min(2, kmax)
     while True:
@@ -335,6 +348,33 @@ def _top_eigpairs_sparse(op: HermitianOperator, eps_cluster: float,
                     f"at or above {shift:.17g}, Lanczos found {found}")
             return vals, V
         k = min(kmax, max(k, count) + 1)
+
+
+def _refine_shift(M, eye, sigma, lu, v0, scale):
+    """Factor of a shift just above a Ritz estimate of lambda_max, or ``lu``.
+
+    ``lu`` factors ``sigma*I - M`` with ``sigma > lambda_max`` certified.
+    One loose Lanczos cycle on ``(sigma*I - M)^{-1}`` gives a Ritz value
+    theta, which never exceeds the top eigenvalue ``1/(sigma - lambda_max)``,
+    so ``sigma - 1/theta <= lambda_max``.  The shift ``REFINED_REL_GAP *
+    scale`` above that estimate takes one PD test: its factor is returned
+    when it passes, ``lu`` when it fails or the cycle yields no value.
+    """
+    inverse = spla.LinearOperator(M.shape, matvec=lu.solve, dtype=M.dtype)
+    try:
+        theta = spla.eigsh(inverse, k=1, which="LA", tol=REFINE_TOL,
+                           ncv=min(M.shape[0], 20), v0=v0,
+                           return_eigenvectors=False)
+    except spla.ArpackNoConvergence as exc:
+        theta = exc.eigenvalues
+    theta = np.real(theta)
+    if theta.size == 0 or theta.max() <= 0.0:
+        return lu
+    shift = sigma - 1.0 / theta.max() + REFINED_REL_GAP * scale
+    if shift >= sigma:
+        return lu
+    trial = _ldl(shift * eye - M)
+    return lu if trial is None else trial
 
 
 def spectral_norm_ub(M) -> float:

@@ -112,9 +112,8 @@ class PiecewiseModel:
     domain.  The heap orders the live segments by their model minimum.
     """
 
-    def __init__(self, omega_range, gamma: float):
+    def __init__(self, omega_range):
         self.a, self.b = float(omega_range[0]), float(omega_range[1])
-        self.gamma = gamma
         self.supports: list[SupportPoint] = []
         self._keys: list[float] = []
         self._gaps: list[Optional[_Gap]] = [None]
@@ -201,7 +200,7 @@ def _run_support(eval_fn: Callable[[float], tuple], omega_range, gamma,
     if gamma is None or gamma > 0:
         raise InvalidGamma(f"curvature bound must be <= 0, got {gamma}")
 
-    model = PiecewiseModel((a, b), gamma)
+    model = PiecewiseModel((a, b))
     points: list[float] = []
     for w in (omega0, *seeds):
         w = float(w)

@@ -229,6 +229,19 @@ class TestDistance:
         assert out["distance"] == pytest.approx(0.5, abs=1e-12)
 
 
+    def test_nonconvergence_exit_code(self, ch_files, tmp_path, capsys):
+        pa, pb = ch_files
+        code = main(["distance", "--pair", pa, pb, "--delta", "1e-8",
+                     "--method", "support", "--max-iter", "2",
+                     "--outdir", str(tmp_path / "rep")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        assert not (tmp_path / "rep").exists()
+
+
 class TestHyperbolicSaddle:
     def test_hyperbolic_small_yes(self, tmp_path):
         # scalar coefficients: (x*Bx)^2 = 9 > 4 = 4(x*Ax)(x*Cx)
@@ -262,7 +275,10 @@ class TestHyperbolicSaddle:
         eigsh = spla.eigsh
 
         def eigsh_without_top(A, k, **kw):
-            w, V = eigsh(A, k=k + 1, **kw)  # ascending: the top pair is last
+            # ascending: the top pair is last
+            if not kw.get("return_eigenvectors", True):
+                return eigsh(A, k=k + 1, **kw)[:-1]  # the shift refinement
+            w, V = eigsh(A, k=k + 1, **kw)
             return w[:-1], V[:, :-1]
 
         monkeypatch.setattr(spla, "eigsh", eigsh_without_top)
@@ -284,6 +300,14 @@ class TestHyperbolicSaddle:
         assert code == 0
         assert out["definite"] is True
         assert out["lambda_min"] > 0
+
+    def test_saddle_nonconvergence_exit_code(self, capsys):
+        code = main(["saddle", "--synthetic", "100", "40", "--max-iter", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
 
     def test_saddle_default_seed_is_zero(self):
         _, default = run_cli("saddle", "--synthetic", "20", "8",

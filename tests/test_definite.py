@@ -8,7 +8,8 @@ from inropt import gallery
 from inropt.definite import (crawford_number, eigenpair_backmap,
                              inner_numerical_radius, is_hyperbolic,
                              nearest_definite_pair, rotate_pair, saddle_shift)
-from inropt.errors import NotPositiveDefiniteMass, VerificationFailure
+from inropt.errors import (ConvergenceFailure, NotPositiveDefiniteMass,
+                           VerificationFailure)
 
 from oracles import grid_min_trig, random_hermitian, random_trig_pair
 
@@ -173,6 +174,14 @@ class TestNearestDefinitePair:
             diff = abs((wit.phi - (rep.theta_star + np.pi)) % TWO_PI)
             assert min(diff, TWO_PI - diff) <= 1e-6
 
+    def test_unconverged_solve_raises(self):
+        # two support iterations stop short of the minimizer; the repair
+        # built on them would report a distance 0.057 too large
+        A, B = gallery.cheng_higham7()
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            nearest_definite_pair(A, B, delta=1e-8, method="support",
+                                  max_iter=2)
+
     def test_uniform_variant(self):
         A, B = gallery.cheng_higham7()
         rep = nearest_definite_pair(A, B, delta=1e-2, method="support",
@@ -274,6 +283,11 @@ class TestSaddleShift:
         M = S - mu * J
         assert np.linalg.eigvalsh(M)[0] > 0
         assert lam_min == pytest.approx(np.linalg.eigvalsh(M)[0], rel=1e-10)
+
+    def test_unconverged_solve_raises(self):
+        S, _ = gallery.synthetic_saddle(100, 40, seed=0)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            saddle_shift(S, 100, 40, max_iter=2)
 
     def test_shift_decided_by_the_pd_test_alone(self, monkeypatch):
         # eigvalsh reads lambda_min > 0 here; a failed PD test still rejects

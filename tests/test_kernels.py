@@ -43,11 +43,13 @@ def triple_top_matrix(complex_copy):
 
 
 def eigsh_recording_k(monkeypatch):
-    """Record the k of every eigsh call the kernels make."""
+    """Record the k of every eigsh call for eigenpairs the kernels make; the
+    shift refinement's values-only k = 1 cycle is not recorded."""
     eigsh, ks = spla.eigsh, []
 
     def recording(A, k, **kw):
-        ks.append(k)
+        if kw.get("return_eigenvectors", True):
+            ks.append(k)
         return eigsh(A, k=k, **kw)
 
     monkeypatch.setattr(spla, "eigsh", recording)
@@ -189,11 +191,59 @@ class TestLargestEigpairs:
         assert is_pd((cert - P).tocsr())
         if offset < 0.0:
             # the failed test at the hint only raises the bisection's floor
-            assert ldl_calls > 2
+            assert ldl_calls > 3
         else:
-            # one PD test closes the bracket, one certifies the result; a
-            # high hint is a valid shift too, only a slower one
-            assert ldl_calls == 2
+            # one PD test closes the bracket, one tests the refined shift,
+            # one certifies the result; a high hint is a valid shift too,
+            # only a slower one
+            assert ldl_calls == 3
+
+    @pytest.mark.parametrize("matrix", ["poisson", "qep-band"])
+    def test_failed_refined_shift_keeps_the_bracketed_one(self, matrix,
+                                                          monkeypatch):
+        # a refined shift below the Ritz estimate lies below lambda_max, so
+        # its PD test fails; the bracketed shift stays and the result is
+        # the same, still certified
+        M = (gallery.poisson2d(32) if matrix == "poisson"
+             else permuted_qep_matrix(0.52, 1.0, seed=2))
+        norm1 = spectral_norm_ub(M)
+        top, _ = largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
+        monkeypatch.setattr(kernels, "REFINED_REL_GAP", -1e-6)
+        kept = []
+        refine = kernels._refine_shift
+
+        def recording(M, eye, sigma, lu, v0, scale):
+            out = refine(M, eye, sigma, lu, v0, scale)
+            kept.append(out is lu)
+            return out
+
+        monkeypatch.setattr(kernels, "_refine_shift", recording)
+        vals, vecs = largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
+        assert kept == [True]
+        np.testing.assert_allclose(vals, top, rtol=0,
+                                   atol=EIG_RESIDUAL_TOL * norm1)
+        cert = (vals[0] + EIG_RESIDUAL_TOL * norm1) * sp.identity(M.shape[0])
+        assert is_pd((cert - M).tocsr())
+        R = M @ vecs - vecs * vals[np.newaxis, :]
+        assert np.linalg.norm(R, axis=0).max() <= EIG_RESIDUAL_TOL * norm1
+
+    def test_refined_shift_cuts_inverse_applications(self, monkeypatch):
+        # at omega = 1.0 the top eigenvalues form a band 2e-6 to 1e-5 apart;
+        # from the bracketed shift Lanczos took 630 applications of the
+        # inverse, from the refined one it takes 78 (both repeat exactly)
+        M = permuted_qep_matrix(0.52, 1.0, seed=2)
+        eigsh, applications = spla.eigsh, []
+
+        def counting(A, *args, **kw):
+            def matvec(x):
+                applications.append(1)
+                return A @ x
+            op = spla.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype)
+            return eigsh(op, *args, **kw)
+
+        monkeypatch.setattr(spla, "eigsh", counting)
+        largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
+        assert len(applications) <= 100
 
     @pytest.mark.parametrize("complex_copy", [False, True],
                              ids=["real", "complex"])
@@ -223,9 +273,12 @@ class TestLargestEigpairs:
         ks = []
 
         def eigsh_without_second(A, k, **kw):
-            ks.append(k)
-            w, V = eigsh(A, k=k + 1, **kw)  # ascending: the top pair is last
+            # ascending: the top pair is last
             keep = np.r_[np.arange(k - 1), k]
+            if not kw.get("return_eigenvectors", True):
+                return eigsh(A, k=k + 1, **kw)[keep]  # the shift refinement
+            ks.append(k)
+            w, V = eigsh(A, k=k + 1, **kw)
             return w[keep], V[:, keep]
 
         monkeypatch.setattr(spla, "eigsh", eigsh_without_second)

@@ -72,7 +72,7 @@ class TestPiecewiseModel:
                  ((1.0, 1.0), [1.0])]
         gamma = -3.0
         for (a, b), points in cases:
-            model = PiecewiseModel((a, b), gamma)
+            model = PiecewiseModel((a, b))
             grid = np.linspace(a, b, 10001)
             for w in points:
                 model.insert(SupportPoint(float(w), f(w), df(w), gamma))
@@ -85,7 +85,7 @@ class TestPiecewiseModel:
     def test_near_duplicate_insert_raises(self):
         gamma = -1.0
         for a, b in ((0.0, 2.0 * np.pi), (0.0, 1e-3)):
-            model = PiecewiseModel((a, b), gamma)
+            model = PiecewiseModel((a, b))
             w = 0.5 * (a + b)
             model.insert(SupportPoint(w, 0.0, 0.0, gamma))
             for dup in (w, w + 1e-15, w - 1e-15):
@@ -96,7 +96,7 @@ class TestPiecewiseModel:
 
     def test_lower_bound_is_valid(self):
         gamma = -3.0
-        model = PiecewiseModel((0.0, 2.0 * np.pi), gamma)
+        model = PiecewiseModel((0.0, 2.0 * np.pi))
         f = lambda w: math.cos(w)
         for w in (0.1, 2.0, 4.0, 6.0):
             model.insert(SupportPoint(w, f(w), -math.sin(w), gamma))
