@@ -282,31 +282,10 @@ def _top_eigpairs_sparse(op: HermitianOperator, eps_cluster: float,
     eye = sp.identity(n, dtype=M.dtype, format="csr")
     norm1 = spectral_norm_ub(op)
     scale = norm1 or 1.0  # the zero matrix still needs a positive width
-    width = SHIFT_REL_WIDTH * scale
-    # Diagonal entries are Rayleigh quotients; hi is past ||M||_1.
-    lo, hi = float(M.diagonal().real.max()), norm1 + width
-    lu, bracketed = None, False
-    if lower is not None and lo < lower and lower + width < hi:
-        trial = _ldl((lower + width) * eye - M)
-        if trial is None:
-            lo = lower + width
-        else:
-            hi, lu, bracketed = lower + width, trial, True
-    while not bracketed and hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        trial = _ldl(mid * eye - M)
-        if trial is None:
-            lo = mid
-        else:
-            hi, lu = mid, trial
-    if lu is None:
-        lu = _ldl(hi * eye - M)
-        if lu is None:
-            raise ConvergenceFailure(
-                f"no positive definite shift found above {lo:.17g}")
+    sigma, lu = _bracket_shift(M, eye, norm1, scale, lower)
     # A fixed start vector makes repeated calls return the same bits.
     v0 = np.random.default_rng(12345).standard_normal(n).astype(M.dtype)
-    lu = _refine_shift(M, eye, hi, lu, v0, scale)
+    lu = _refine_shift(M, eye, sigma, lu, v0, scale)
     inverse = spla.LinearOperator(M.shape, matvec=lu.solve, dtype=M.dtype)
     kmax = min(max_pairs + 1, n - 1)
     k = kmax if np.isinf(eps_cluster) else min(2, kmax)
@@ -350,6 +329,34 @@ def _top_eigpairs_sparse(op: HermitianOperator, eps_cluster: float,
         k = min(kmax, max(k, count) + 1)
 
 
+def _bracket_shift(M, eye, norm1, scale, lower):
+    """Step 1 of :func:`_top_eigpairs_sparse`: ``(sigma, lu)`` with
+    ``sigma > lambda_max`` certified by ``lu``, the factor of
+    ``sigma*I - M``.  Only the returned factor outlives the bisection."""
+    width = SHIFT_REL_WIDTH * scale
+    # Diagonal entries are Rayleigh quotients; hi is past ||M||_1.
+    lo, hi = float(M.diagonal().real.max()), norm1 + width
+    if lower is not None and lo < lower and lower + width < hi:
+        trial = _ldl((lower + width) * eye - M)
+        if trial is not None:
+            return lower + width, trial
+        lo = lower + width
+    lu = None
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        trial = _ldl(mid * eye - M)
+        if trial is None:
+            lo = mid
+        else:
+            hi, lu = mid, trial
+    if lu is None:
+        lu = _ldl(hi * eye - M)
+        if lu is None:
+            raise ConvergenceFailure(
+                f"no positive definite shift found above {lo:.17g}")
+    return hi, lu
+
+
 def _refine_shift(M, eye, sigma, lu, v0, scale):
     """Factor of a shift just above a Ritz estimate of lambda_max, or ``lu``.
 
@@ -367,10 +374,9 @@ def _refine_shift(M, eye, sigma, lu, v0, scale):
                            return_eigenvectors=False)
     except spla.ArpackNoConvergence as exc:
         theta = exc.eigenvalues
-    theta = np.real(theta)
-    if theta.size == 0 or theta.max() <= 0.0:
+    if len(theta) == 0:
         return lu
-    shift = sigma - 1.0 / theta.max() + REFINED_REL_GAP * scale
+    shift = sigma - 1.0 / np.real(theta).max() + REFINED_REL_GAP * scale
     if shift >= sigma:
         return lu
     trial = _ldl(shift * eye - M)

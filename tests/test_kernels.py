@@ -56,6 +56,20 @@ def eigsh_recording_k(monkeypatch):
     return ks
 
 
+def refinements_recording(monkeypatch):
+    """Record, per call of the shift refinement, whether it replaced the
+    bracketed shift."""
+    refine, replaced = kernels._refine_shift, []
+
+    def recording(M, eye, sigma, lu, v0, scale):
+        out = refine(M, eye, sigma, lu, v0, scale)
+        replaced.append(out is not lu)
+        return out
+
+    monkeypatch.setattr(kernels, "_refine_shift", recording)
+    return replaced
+
+
 def lam_max_H(C, theta):
     H = (C * np.exp(-1j * theta) + C.conj().T * np.exp(1j * theta)) / 2.0
     return np.linalg.eigvalsh(H)
@@ -198,6 +212,25 @@ class TestLargestEigpairs:
             # only a slower one
             assert ldl_calls == 3
 
+    def test_bracket_closer_than_the_refined_gap_stays(self, monkeypatch):
+        # a hint that puts sigma closer above lambda_max than a refined
+        # shift would sit keeps sigma, without a further PD test
+        P = gallery.poisson2d(32)
+        norm1 = spectral_norm_ub(P)
+        top, _ = largest_eigpairs(P, eps_cluster=1e-6, max_pairs=3)
+        lower = top[0] + (0.5 * kernels.REFINED_REL_GAP
+                          - kernels.SHIFT_REL_WIDTH) * norm1
+        calls = []
+        ldl = kernels._ldl
+        monkeypatch.setattr(kernels, "_ldl",
+                            lambda M: calls.append(1) or ldl(M))
+        replaced = refinements_recording(monkeypatch)
+        vals, _ = largest_eigpairs(P, eps_cluster=1e-6, max_pairs=3,
+                                   lower=lower)
+        assert replaced == [False] and len(calls) == 2
+        assert vals[0] == pytest.approx(top[0],
+                                        abs=EIG_RESIDUAL_TOL * norm1)
+
     @pytest.mark.parametrize("matrix", ["poisson", "qep-band"])
     def test_failed_refined_shift_keeps_the_bracketed_one(self, matrix,
                                                           monkeypatch):
@@ -209,23 +242,36 @@ class TestLargestEigpairs:
         norm1 = spectral_norm_ub(M)
         top, _ = largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
         monkeypatch.setattr(kernels, "REFINED_REL_GAP", -1e-6)
-        kept = []
-        refine = kernels._refine_shift
-
-        def recording(M, eye, sigma, lu, v0, scale):
-            out = refine(M, eye, sigma, lu, v0, scale)
-            kept.append(out is lu)
-            return out
-
-        monkeypatch.setattr(kernels, "_refine_shift", recording)
+        replaced = refinements_recording(monkeypatch)
         vals, vecs = largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
-        assert kept == [True]
+        assert replaced == [False]
         np.testing.assert_allclose(vals, top, rtol=0,
                                    atol=EIG_RESIDUAL_TOL * norm1)
         cert = (vals[0] + EIG_RESIDUAL_TOL * norm1) * sp.identity(M.shape[0])
         assert is_pd((cert - M).tocsr())
         R = M @ vecs - vecs * vals[np.newaxis, :]
         assert np.linalg.norm(R, axis=0).max() <= EIG_RESIDUAL_TOL * norm1
+
+    @pytest.mark.parametrize("partial", [True, False],
+                             ids=["partial-value", "no-value"])
+    def test_refinement_cycle_cut_short(self, partial, monkeypatch):
+        # a refinement cycle that stops short still refines the shift from
+        # a partial Ritz value; without one the bracketed shift stays
+        M = permuted_qep_matrix(0.52, 1.0, seed=2)
+        top, _ = largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
+        eigsh = spla.eigsh
+
+        def cut_short(A, k, **kw):
+            if kw.get("return_eigenvectors", True):
+                return eigsh(A, k=k, **kw)
+            values = eigsh(A, k=k, **kw) if partial else np.zeros(0)
+            raise spla.ArpackNoConvergence("cut short", values, None)
+
+        monkeypatch.setattr(spla, "eigsh", cut_short)
+        replaced = refinements_recording(monkeypatch)
+        vals, _ = largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
+        assert replaced == [partial]
+        np.testing.assert_allclose(vals, top, rtol=0, atol=1e-12)
 
     def test_refined_shift_cuts_inverse_applications(self, monkeypatch):
         # at omega = 1.0 the top eigenvalues form a band 2e-6 to 1e-5 apart;
