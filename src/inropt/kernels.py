@@ -5,10 +5,10 @@ definiteness layer) goes through the small set of operations in this module:
 Hermitian eigendecomposition, positive-definiteness tests (Cholesky for
 dense, symmetric LDL^T for sparse storage), clustered largest-eigenpair
 extraction, unit-circle pencil eigenvalues, and orthonormal basis extension.
-On large sparse operators one loose Lanczos cycle moves the bracketed shift
-just above the largest eigenvalue, shift-invert Lanczos starts from two
-pairs, and an LDL^T inertia count certifies the size of the cluster it
-returns.
+On large sparse operators one loose Lanczos cycle moves a coarsely
+bracketed shift just above the largest eigenvalue, shift-invert Lanczos
+starts from two pairs, and an LDL^T inertia count certifies the size of the
+cluster it returns.
 
 All types are immutable after construction and safe to share across threads;
 every operation is a pure function of its inputs.
@@ -30,8 +30,10 @@ from .errors import ConvergenceFailure, NonHermitianInput, SingularPencil
 DENSE_THRESHOLD = 1000
 # Residual tolerance for accepted eigenpairs, relative to ||M||_2.
 EIG_RESIDUAL_TOL = 1e-10
-# The sparse path brackets lambda_max to this width, relative to ||M||_1,
-# before shift-invert Lanczos.
+# The sparse path brackets lambda_max to COARSE_REL_WIDTH, relative to
+# ||M||_1, before the shift refinement, and bisects on to SHIFT_REL_WIDTH
+# only when the refined shift fails its PD test.
+COARSE_REL_WIDTH = 1e-2
 SHIFT_REL_WIDTH = 1e-3
 # A loose Lanczos cycle at the bracketed shift estimates lambda_max from
 # below, to this relative tolerance on its Ritz value; the shift then moves
@@ -249,16 +251,18 @@ def _top_eigpairs_sparse(op: HermitianOperator, eps_cluster: float,
 
     1. Bracket: bisect sigma on PD tests of ``sigma*I - M`` between
        ``max_i M_ii <= lambda_max`` and ``||M||_1 >= lambda_max`` down to a
-       width of ``SHIFT_REL_WIDTH * ||M||_1``, keeping the factor at the
+       width of ``COARSE_REL_WIDTH * ||M||_1``, keeping the factor at the
        upper end, where ``sigma > lambda_max`` is certified.  A hint
        ``lower`` above ``max_i M_ii`` first takes one PD test at
        ``lower + width``: if it passes, that is sigma; if it fails, it
        raises the lower end of the bisection.
-    2. Refine: :func:`_refine_shift` runs one loose ``k = 1`` Lanczos cycle
-       on ``(sigma*I - M)^{-1}``; its Ritz value estimates lambda_max from
-       below, and a shift ``REFINED_REL_GAP * ||M||_1`` above the estimate
-       replaces sigma if it passes its PD test.  Lanczos converges at a
-       rate set by how close sigma sits above lambda_max.
+    2. Refine: Lanczos converges at a rate set by how close sigma sits
+       above lambda_max.  :func:`_refine_shift` runs one loose ``k = 1``
+       Lanczos cycle on ``(sigma*I - M)^{-1}``; its Ritz value estimates
+       lambda_max from below, and a shift ``REFINED_REL_GAP * ||M||_1``
+       above the estimate replaces sigma if it passes its PD test.  If it
+       fails, the bisection goes on from the estimate, which raises the
+       lower end, down to ``SHIFT_REL_WIDTH * ||M||_1``.
     3. Solve: Lanczos on ``(sigma*I - M)^{-1}`` for ``k = 2`` pairs, whose
        largest eigenvalues ``1/(sigma - lambda)`` belong to the largest
        eigenvalues of M and are well separated even when M's are clustered.
@@ -282,10 +286,16 @@ def _top_eigpairs_sparse(op: HermitianOperator, eps_cluster: float,
     eye = sp.identity(n, dtype=M.dtype, format="csr")
     norm1 = spectral_norm_ub(op)
     scale = norm1 or 1.0  # the zero matrix still needs a positive width
-    sigma, lu = _bracket_shift(M, eye, norm1, scale, lower)
+    lo, sigma, lu = _bracket_shift(M, eye, norm1, scale, lower)
     # A fixed start vector makes repeated calls return the same bits.
     v0 = np.random.default_rng(12345).standard_normal(n).astype(M.dtype)
-    lu = _refine_shift(M, eye, sigma, lu, v0, scale)
+    estimate, refined = _refine_shift(M, eye, sigma, lu, v0, scale)
+    if refined is None:
+        # lambda_max lies at or above the estimate: bisect on from there.
+        lu = _bisect_shift(M, eye, max(lo, estimate), sigma, lu,
+                           SHIFT_REL_WIDTH * scale)[2]
+    else:
+        lu = refined
     inverse = spla.LinearOperator(M.shape, matvec=lu.solve, dtype=M.dtype)
     kmax = min(max_pairs + 1, n - 1)
     k = kmax if np.isinf(eps_cluster) else min(2, kmax)
@@ -330,18 +340,24 @@ def _top_eigpairs_sparse(op: HermitianOperator, eps_cluster: float,
 
 
 def _bracket_shift(M, eye, norm1, scale, lower):
-    """Step 1 of :func:`_top_eigpairs_sparse`: ``(sigma, lu)`` with
+    """Step 1 of :func:`_top_eigpairs_sparse`: ``(lo, sigma, lu)`` with
     ``sigma > lambda_max`` certified by ``lu``, the factor of
-    ``sigma*I - M``.  Only the returned factor outlives the bisection."""
-    width = SHIFT_REL_WIDTH * scale
+    ``sigma*I - M``, and ``lo <= lambda_max``."""
+    width = COARSE_REL_WIDTH * scale
     # Diagonal entries are Rayleigh quotients; hi is past ||M||_1.
     lo, hi = float(M.diagonal().real.max()), norm1 + width
     if lower is not None and lo < lower and lower + width < hi:
         trial = _ldl((lower + width) * eye - M)
         if trial is not None:
-            return lower + width, trial
+            return lo, lower + width, trial
         lo = lower + width
-    lu = None
+    return _bisect_shift(M, eye, lo, hi, None, width)
+
+
+def _bisect_shift(M, eye, lo, hi, lu, width):
+    """Bisect ``(lo, hi]`` on PD tests of ``sigma*I - M`` down to ``width``;
+    ``lu`` factors ``hi*I - M``, or is None while hi is untested.  Returns
+    ``(lo, hi, lu)``; only the returned factor outlives the bisection."""
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
         trial = _ldl(mid * eye - M)
@@ -354,18 +370,20 @@ def _bracket_shift(M, eye, norm1, scale, lower):
         if lu is None:
             raise ConvergenceFailure(
                 f"no positive definite shift found above {lo:.17g}")
-    return hi, lu
+    return lo, hi, lu
 
 
 def _refine_shift(M, eye, sigma, lu, v0, scale):
-    """Factor of a shift just above a Ritz estimate of lambda_max, or ``lu``.
+    """Ritz estimate of lambda_max from below, and the factor of a shift
+    just above it or None.
 
     ``lu`` factors ``sigma*I - M`` with ``sigma > lambda_max`` certified.
     One loose Lanczos cycle on ``(sigma*I - M)^{-1}`` gives a Ritz value
     theta, which never exceeds the top eigenvalue ``1/(sigma - lambda_max)``,
-    so ``sigma - 1/theta <= lambda_max``.  The shift ``REFINED_REL_GAP *
-    scale`` above that estimate takes one PD test: its factor is returned
-    when it passes, ``lu`` when it fails or the cycle yields no value.
+    so the estimate ``sigma - 1/theta <= lambda_max``.  The shift
+    ``REFINED_REL_GAP * scale`` above it takes one PD test: its factor is
+    returned when it passes, None when it fails, lies at or above sigma, or
+    the cycle yields no value (the estimate is then ``-inf``).
     """
     inverse = spla.LinearOperator(M.shape, matvec=lu.solve, dtype=M.dtype)
     try:
@@ -375,12 +393,12 @@ def _refine_shift(M, eye, sigma, lu, v0, scale):
     except spla.ArpackNoConvergence as exc:
         theta = exc.eigenvalues
     if len(theta) == 0:
-        return lu
-    shift = sigma - 1.0 / np.real(theta).max() + REFINED_REL_GAP * scale
+        return -np.inf, None
+    estimate = sigma - 1.0 / np.real(theta).max()
+    shift = estimate + REFINED_REL_GAP * scale
     if shift >= sigma:
-        return lu
-    trial = _ldl(shift * eye - M)
-    return lu if trial is None else trial
+        return estimate, None
+    return estimate, _ldl(shift * eye - M)
 
 
 def spectral_norm_ub(M) -> float:

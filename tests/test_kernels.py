@@ -57,13 +57,13 @@ def eigsh_recording_k(monkeypatch):
 
 
 def refinements_recording(monkeypatch):
-    """Record, per call of the shift refinement, whether it replaced the
-    bracketed shift."""
+    """Record, per call of the shift refinement, whether its shift passed
+    the PD test and replaced the bracketed one."""
     refine, replaced = kernels._refine_shift, []
 
     def recording(M, eye, sigma, lu, v0, scale):
         out = refine(M, eye, sigma, lu, v0, scale)
-        replaced.append(out is not lu)
+        replaced.append(out[1] is not None)
         return out
 
     monkeypatch.setattr(kernels, "_refine_shift", recording)
@@ -187,8 +187,8 @@ class TestLargestEigpairs:
                              ids=["far-below", "equal", "above"])
     def test_bracket_hint_is_not_trusted(self, offset, monkeypatch):
         # 1024 x 1024 Laplacian, diagonal 4, ||P||_1 = 8, lambda_max 7.98:
-        # every hint plus the width 8e-3 lies inside the bisection bracket
-        # (4, 8 + 8e-3)
+        # every hint plus the coarse width 8e-2 lies inside the bisection
+        # bracket (4, 8 + 8e-2)
         P = gallery.poisson2d(32)
         norm1 = spectral_norm_ub(P)
         top, _ = largest_eigpairs(P, eps_cluster=1e-6, max_pairs=3)
@@ -219,7 +219,7 @@ class TestLargestEigpairs:
         norm1 = spectral_norm_ub(P)
         top, _ = largest_eigpairs(P, eps_cluster=1e-6, max_pairs=3)
         lower = top[0] + (0.5 * kernels.REFINED_REL_GAP
-                          - kernels.SHIFT_REL_WIDTH) * norm1
+                          - kernels.COARSE_REL_WIDTH) * norm1
         calls = []
         ldl = kernels._ldl
         monkeypatch.setattr(kernels, "_ldl",
@@ -232,19 +232,25 @@ class TestLargestEigpairs:
                                         abs=EIG_RESIDUAL_TOL * norm1)
 
     @pytest.mark.parametrize("matrix", ["poisson", "qep-band"])
-    def test_failed_refined_shift_keeps_the_bracketed_one(self, matrix,
-                                                          monkeypatch):
+    def test_failed_refined_shift_bisects_on(self, matrix, monkeypatch):
         # a refined shift below the Ritz estimate lies below lambda_max, so
-        # its PD test fails; the bracketed shift stays and the result is
-        # the same, still certified
+        # its PD test fails; the bisection goes on from the coarse bracket
+        # to the fine width, and the result is the same, still certified
         M = (gallery.poisson2d(32) if matrix == "poisson"
              else permuted_qep_matrix(0.52, 1.0, seed=2))
         norm1 = spectral_norm_ub(M)
         top, _ = largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
         monkeypatch.setattr(kernels, "REFINED_REL_GAP", -1e-6)
         replaced = refinements_recording(monkeypatch)
+        bisect, widths = kernels._bisect_shift, []
+        monkeypatch.setattr(
+            kernels, "_bisect_shift",
+            lambda M, eye, lo, hi, lu, width:
+                widths.append(width) or bisect(M, eye, lo, hi, lu, width))
         vals, vecs = largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
         assert replaced == [False]
+        assert widths == [kernels.COARSE_REL_WIDTH * norm1,
+                          kernels.SHIFT_REL_WIDTH * norm1]
         np.testing.assert_allclose(vals, top, rtol=0,
                                    atol=EIG_RESIDUAL_TOL * norm1)
         cert = (vals[0] + EIG_RESIDUAL_TOL * norm1) * sp.identity(M.shape[0])
@@ -275,8 +281,9 @@ class TestLargestEigpairs:
 
     def test_refined_shift_cuts_inverse_applications(self, monkeypatch):
         # at omega = 1.0 the top eigenvalues form a band 2e-6 to 1e-5 apart;
-        # from the bracketed shift Lanczos took 630 applications of the
-        # inverse, from the refined one it takes 78 (both repeat exactly)
+        # from a shift bisected to 1e-3 * ||M||_1 Lanczos took 630
+        # applications of the inverse, the refinement cycle and the solve
+        # from the refined shift take 60 (both counts repeat exactly)
         M = permuted_qep_matrix(0.52, 1.0, seed=2)
         eigsh, applications = spla.eigsh, []
 
