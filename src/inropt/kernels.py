@@ -286,13 +286,24 @@ def _top_eigpairs_sparse(op: HermitianOperator, eps_cluster: float,
     eye = sp.identity(n, dtype=M.dtype, format="csr")
     norm1 = spectral_norm_ub(op)
     scale = norm1 or 1.0  # the zero matrix still needs a positive width
-    lo, sigma, lu = _bracket_shift(M, eye, norm1, scale, lower)
+    width = COARSE_REL_WIDTH * scale
+    # Diagonal entries are Rayleigh quotients; hi is past ||M||_1.
+    lo, hi = float(M.diagonal().real.max()), norm1 + width
+    lu = None
+    if lower is not None and lo < lower and lower + width < hi:
+        lu = _ldl((lower + width) * eye - M)
+        if lu is None:
+            lo = lower + width
+        else:
+            hi = lower + width
+    if lu is None:
+        lo, hi, lu = _bisect_shift(M, eye, lo, hi, None, width)
     # A fixed start vector makes repeated calls return the same bits.
     v0 = np.random.default_rng(12345).standard_normal(n).astype(M.dtype)
-    estimate, refined = _refine_shift(M, eye, sigma, lu, v0, scale)
+    estimate, refined = _refine_shift(M, eye, hi, lu, v0, scale)
     if refined is None:
         # lambda_max lies at or above the estimate: bisect on from there.
-        lu = _bisect_shift(M, eye, max(lo, estimate), sigma, lu,
+        lu = _bisect_shift(M, eye, max(lo, estimate), hi, lu,
                            SHIFT_REL_WIDTH * scale)[2]
     else:
         lu = refined
@@ -337,21 +348,6 @@ def _top_eigpairs_sparse(op: HermitianOperator, eps_cluster: float,
                     f"at or above {shift:.17g}, Lanczos found {found}")
             return vals, V
         k = min(kmax, max(k, count) + 1)
-
-
-def _bracket_shift(M, eye, norm1, scale, lower):
-    """Step 1 of :func:`_top_eigpairs_sparse`: ``(lo, sigma, lu)`` with
-    ``sigma > lambda_max`` certified by ``lu``, the factor of
-    ``sigma*I - M``, and ``lo <= lambda_max``."""
-    width = COARSE_REL_WIDTH * scale
-    # Diagonal entries are Rayleigh quotients; hi is past ||M||_1.
-    lo, hi = float(M.diagonal().real.max()), norm1 + width
-    if lower is not None and lo < lower and lower + width < hi:
-        trial = _ldl((lower + width) * eye - M)
-        if trial is not None:
-            return lo, lower + width, trial
-        lo = lower + width
-    return _bisect_shift(M, eye, lo, hi, None, width)
 
 
 def _bisect_shift(M, eye, lo, hi, lu, width):
