@@ -19,7 +19,7 @@ from .errors import (ConvergenceFailure, NotPositiveDefiniteMass,
                      VerificationFailure)
 from .gallery import qep_linearization
 from .kernels import (as_hermitian, below_dense_threshold, hermitian_eig,
-                      hermitian_split, is_pd)
+                      hermitian_eigvals, hermitian_split, is_pd, matmul)
 from .param import EPS_CLUSTER_DEFAULT, ParamHermitian
 from .results import MinResult
 from . import levelset as _levelset
@@ -182,7 +182,7 @@ def nearest_definite_pair(A, B, delta: float, method: str = "auto",
     distance = max(delta + lam1, 0.0)
     if variant == "clip":
         clip = np.minimum(-delta - dec.values, 0.0)
-        D = (dec.vectors * clip[np.newaxis, :]) @ dec.vectors.conj().T
+        D = matmul(dec.vectors * clip[np.newaxis, :], dec.vectors.conj().T)
         D = (D + D.conj().T) / 2.0
     else:
         D = -distance * np.eye(len(dec.values))
@@ -191,11 +191,10 @@ def nearest_definite_pair(A, B, delta: float, method: str = "auto",
     psi = (theta + np.pi / 2.0) % TWO_PI
     T = np.exp(-1j * psi) * ((Ah + dA) + 1j * (Bh + dB))
     A_t, B_t = hermitian_split(T)
-    lam_min_Bt = float(np.linalg.eigvalsh(B_t)[0])
+    lam_min_Bt = float(hermitian_eigvals(B_t)[-1])
 
-    scale = max(1.0, float(np.linalg.norm(np.hstack([Ah, Bh]), 2)))
-    stacked = np.hstack([dA, dB])
-    pert_norm = float(np.linalg.norm(stacked, 2)) if distance > 0 else 0.0
+    scale = max(1.0, _stacked_norm(Ah, Bh))
+    pert_norm = _stacked_norm(dA, dB) if distance > 0 else 0.0
     target = max(delta, cr.gamma)
     checks = [
         ("perturbation norm equals the distance",
@@ -212,6 +211,14 @@ def nearest_definite_pair(A, B, delta: float, method: str = "auto",
     return DefiniteRepair(distance=float(distance), deltaA=dA, deltaB=dB,
                           psi=float(psi), A_tilde=A_t, B_tilde=B_t,
                           crawford_after=lam_min_Bt, theta_star=float(theta))
+
+
+def _stacked_norm(X, Y) -> float:
+    """``||[X Y]||_2`` of two dense n x n matrices, as the square root of the
+    largest eigenvalue of the n x n Gram matrix ``X X^* + Y Y^*``: no SVD of
+    the n x 2n block."""
+    G = matmul(X, X.conj().T) + matmul(Y, Y.conj().T)
+    return float(np.sqrt(max(hermitian_eigvals(G)[0], 0.0)))
 
 
 def is_hyperbolic(Aq, Bq, Cq, method: str = "auto", **opts):

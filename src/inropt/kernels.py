@@ -5,6 +5,11 @@ definiteness layer) goes through the small set of operations in this module:
 Hermitian eigendecomposition, positive-definiteness tests (Cholesky for
 dense, symmetric LDL^T for sparse storage), clustered largest-eigenpair
 extraction, unit-circle pencil eigenvalues, and orthonormal basis extension.
+From ``SUBSET_THRESHOLD`` on, dense storage solves for the top eigenpairs
+only, by LAPACK ?heevr/?syevr, and the dense products (:func:`matmul`) and
+other dense eigensolves at that size run on scipy's BLAS and LAPACK too, so
+that an evaluation loop keeps to one of the two OpenBLAS copies that numpy
+and scipy load; smaller dense work, and the level-set pencil, stay on numpy.
 On large sparse operators one loose Lanczos cycle moves a coarsely
 bracketed shift just above the largest eigenvalue, shift-invert Lanczos
 starts from two pairs, and an LDL^T inertia count certifies the size of the
@@ -16,6 +21,7 @@ every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,6 +34,14 @@ from .errors import ConvergenceFailure, NonHermitianInput, SingularPencil
 
 # Below this dimension, iterative paths densify instead.
 DENSE_THRESHOLD = 1000
+# From this dimension on, dense storage solves for the top eigenpairs only,
+# through LAPACK ?heevr/?syevr, and the dense products and eigensolves
+# around that solve run on scipy's OpenBLAS as well: numpy loads another
+# copy, and alternating between the two thread pools costs more than the
+# subset saves.  Below it, the numpy work next to the evaluations (the
+# level-set pencil of a 140- or 200-dimensional pair) slowed by more than
+# the subset saved (BENCH_15.json).
+SUBSET_THRESHOLD = 256
 # Residual tolerance for accepted eigenpairs, relative to ||M||_2.
 EIG_RESIDUAL_TOL = 1e-10
 # The sparse path brackets lambda_max to COARSE_REL_WIDTH, relative to
@@ -91,7 +105,7 @@ class HermitianOperator:
         return self.raw if self.is_dense else self.raw.toarray()
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.raw @ x
+        return matmul(self.raw, x) if self.is_dense else self.raw @ x
 
     def __repr__(self):
         kind = "dense" if self.is_dense else "sparse"
@@ -149,11 +163,59 @@ def hermitian_eig(M) -> EigDecomposition:
     eigenvector columns paired to them.
     """
     op = as_hermitian(M)
+    if op.dim >= SUBSET_THRESHOLD:
+        vals, vecs = _evr(op.dense, op.dim)
+        return EigDecomposition(values=vals, vectors=vecs)
     try:
         w, V = np.linalg.eigh(op.dense)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
     return EigDecomposition(values=w[::-1].copy(), vectors=V[:, ::-1].copy())
+
+
+def hermitian_eigvals(M) -> np.ndarray:
+    """Eigenvalues of a dense Hermitian matrix, in descending order."""
+    M = as_hermitian(M, check=False).dense
+    if M.shape[0] >= SUBSET_THRESHOLD:
+        return _evr(M, M.shape[0], vectors=False)[0]
+    return np.linalg.eigvalsh(M)[::-1].copy()
+
+
+@functools.lru_cache(maxsize=None)
+def _scipy_routine(name: str, dtype: np.dtype):
+    """scipy's BLAS ``gemm`` or LAPACK routine ``name`` for ``dtype``,
+    looked up once."""
+    get = sla.get_blas_funcs if name == "gemm" else sla.get_lapack_funcs
+    return get((name,), dtype=dtype)[0]
+
+
+def _evr(M: np.ndarray, k: int, vectors: bool = True):
+    """The k largest eigenvalues of a dense Hermitian M, descending, with
+    their eigenvectors (None when ``vectors`` is false), by LAPACK
+    ?heevr/?syevr on scipy's library.
+
+    ``k < n`` asks for the index range ``n-k+1..n``.  A range that cuts
+    through a tie can come back short, with fewer than k pairs; the top k
+    of the full decomposition then replace them.
+    """
+    n = M.shape[0]
+    M = np.asarray(M, dtype=np.result_type(M, np.float64))
+    complex_ = np.iscomplexobj(M)
+    name = ("he" if complex_ else "sy") + "evr"
+    evr = _scipy_routine(name, M.dtype)
+    # The routine's default workspace is the minimal one, which leaves the
+    # blocked tridiagonal reduction unblocked; query the optimal one.
+    work = _scipy_routine(name + "_lwork", M.dtype)(n)[:-1]
+    names = ("lwork", "lrwork", "liwork") if complex_ else ("lwork", "liwork")
+    sizes = {key: int(np.real(w)) for key, w in zip(names, work)}
+    subset = {} if k >= n else {"range": "I", "il": n - k + 1, "iu": n}
+    w, z, m, _, info = evr(M, compute_v=int(vectors), **subset, **sizes)
+    if info != 0:
+        raise ConvergenceFailure(f"dense eigensolver failed: {name} info {info}")
+    if m < k:
+        vals, vecs = _evr(M, n, vectors)
+        return vals[:k], (vecs[:, :k] if vectors else None)
+    return w[m - 1::-1].copy(), (z[:, m - 1::-1].copy() if vectors else None)
 
 
 def is_pd(M) -> bool:
@@ -217,10 +279,12 @@ def largest_eigpairs(M, eps_cluster: float, max_pairs: int,
     Returns ``(values, vectors)`` where values[0] is the largest eigenvalue
     and every further value lies within ``eps_cluster`` of it (capped at
     ``max_pairs``).  Dense storage, or any operator below the dense
-    threshold, goes through the full decomposition; larger sparse operators
-    take the certified shift-invert Lanczos of :func:`_top_eigpairs_sparse`,
-    which raises ConvergenceFailure unless the largest eigenvalue and the
-    size of its cluster are certified.  An infinite ``eps_cluster`` asks
+    threshold, goes through the full decomposition below
+    ``SUBSET_THRESHOLD`` and through the top ``max_pairs`` eigenpairs of
+    LAPACK ?heevr/?syevr from there on.  Larger sparse operators take the
+    certified shift-invert Lanczos of :func:`_top_eigpairs_sparse`, which
+    raises ConvergenceFailure unless the largest eigenvalue and the size of
+    its cluster are certified.  An infinite ``eps_cluster`` asks
     for the ``max_pairs`` largest pairs.  ``lower`` is a hint expected to
     lie at or below the largest eigenvalue, such as a Ritz value; the
     sparse path seeds its shift bracket with it and the dense path ignores
@@ -230,11 +294,13 @@ def largest_eigpairs(M, eps_cluster: float, max_pairs: int,
         raise ValueError("max_pairs must be >= 1")
     op = as_hermitian(M)
     n = op.dim
-    if op.is_dense or below_dense_threshold(n):
+    if not (op.is_dense or below_dense_threshold(n)):
+        vals, vecs = _top_eigpairs_sparse(op, eps_cluster, max_pairs, lower)
+    elif n >= SUBSET_THRESHOLD:
+        vals, vecs = _evr(op.dense, min(max_pairs, n))
+    else:
         dec = hermitian_eig(op)
         vals, vecs = dec.values, dec.vectors
-    else:
-        vals, vecs = _top_eigpairs_sparse(op, eps_cluster, max_pairs, lower)
     keep = 1
     while (keep < min(max_pairs, len(vals))
            and vals[0] - vals[keep] <= eps_cluster):
@@ -406,7 +472,7 @@ def spectral_norm_ub(M) -> float:
     """
     op = as_hermitian(M, check=False)
     if op.is_dense or below_dense_threshold(op.dim):
-        w = np.linalg.eigvalsh(op.dense)
+        w = hermitian_eigvals(op)
         return float(max(abs(w[0]), abs(w[-1])))
     return float(spla.norm(op.raw, 1))
 
@@ -503,12 +569,12 @@ def orthonormal_extend(V: Basis, W) -> Basis:
         # One product per projection, not one per vector: BLAS would hand
         # every single small product to its threads.
         if Q.shape[1]:
-            X = X - Q @ (Q.conj().T @ X)
+            X = X - matmul(Q, matmul(Q.conj().T, X))
         accepted, kept_floors = [], []
         for x, floor in zip(X.T, floors):
             if accepted:
                 U = np.column_stack(accepted)
-                x = x - U @ (U.conj().T @ x)
+                x = x - matmul(U, matmul(U.conj().T, x))
             nx = np.linalg.norm(x)
             if nx > floor:
                 accepted.append(x / nx)
@@ -518,3 +584,28 @@ def orthonormal_extend(V: Basis, W) -> Basis:
             return V
         X, floors = np.column_stack(accepted), kept_floors
     return Basis(n, np.hstack([Q, X]))
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of dense arrays, each 1-d or 2-d.
+
+    A product with any dimension of at least ``SUBSET_THRESHOLD`` runs on
+    scipy's BLAS ``gemm``, the library of the subset eigensolve, so that a
+    loop of products and solves keeps to one thread pool; smaller ones run
+    on numpy.
+    """
+    if max(a.shape + b.shape) < SUBSET_THRESHOLD:
+        return a @ b
+    gemm = _scipy_routine("gemm", np.result_type(a, b, np.float64))
+    a2, ta = _fortran(a.reshape(1, -1) if a.ndim == 1 else a)
+    b2, tb = _fortran(b.reshape(-1, 1) if b.ndim == 1 else b)
+    out = gemm(1.0, a2, b2, trans_a=ta, trans_b=tb)
+    return out.reshape(a.shape[:-1] + b.shape[1:])
+
+
+def _fortran(x: np.ndarray):
+    """``(y, trans)`` with ``op(y) = x`` for BLAS: a C-ordered x is passed
+    as its Fortran-ordered transpose instead of being copied."""
+    if x.flags.c_contiguous and not x.flags.f_contiguous:
+        return x.T, 1
+    return x, 0

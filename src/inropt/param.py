@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from .errors import NonHermitianInput
 from .kernels import (Basis, HermitianOperator, as_hermitian,
-                      largest_eigpairs, spectral_norm_ub)
+                      largest_eigpairs, matmul, spectral_norm_ub)
 
 EPS_CLUSTER_DEFAULT = 1e-6
 MAX_CLUSTER_DEFAULT = 10
@@ -96,7 +96,7 @@ class ParamHermitian:
             raise ValueError("basis dimension does not match family dimension")
         terms = []
         for t in self.terms:
-            red = V.cols.conj().T @ (t.matrix.raw @ V.cols)
+            red = matmul(V.cols.conj().T, t.matrix.apply(V.cols))
             red = (red + red.conj().T) / 2.0
             terms.append(Term(t.fun, t.dfun,
                               HermitianOperator(red, check=False)))
@@ -160,7 +160,7 @@ class TopCluster:
     def _block_eigvalsh(self, m: int) -> np.ndarray:
         """Ascending eigenvalues of U^* A'(w) U over the first m columns."""
         U = self.vectors[:, :m]
-        S = U.conj().T @ self.dA.apply(U)
+        S = matmul(U.conj().T, self.dA.apply(U))
         return np.linalg.eigvalsh((S + S.conj().T) / 2.0)
 
     @property
@@ -192,7 +192,7 @@ def top_cluster(P: ParamHermitian, omega: float,
     dA = P.derivative_matrix(omega)
     v = vecs[:, 0]
     return TopCluster(float(omega), vals, vecs, dA,
-                      complex(v.conj() @ dA.apply(v)))
+                      complex(matmul(v.conj(), dA.apply(v))))
 
 
 def eig_max_eval(P: ParamHermitian, omega: float) -> EigEval:

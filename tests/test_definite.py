@@ -4,12 +4,16 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from inropt import gallery
+from inropt import definite, gallery, kernels
 from inropt.definite import (crawford_number, eigenpair_backmap,
                              inner_numerical_radius, is_hyperbolic,
                              nearest_definite_pair, rotate_pair, saddle_shift)
 from inropt.errors import (ConvergenceFailure, NotPositiveDefiniteMass,
                            VerificationFailure)
+from inropt.kernels import EigDecomposition
+from inropt.param import ParamHermitian
+from inropt.subspace import subspace_minimize
+from inropt.support import eigopt_minimize
 
 from oracles import grid_min_trig, random_hermitian, random_trig_pair
 
@@ -191,6 +195,82 @@ class TestNearestDefinitePair:
         gam, definite, _ = crawford_number(A + rep.deltaA, B + rep.deltaB)
         assert definite
         assert gam == pytest.approx(1e-2, abs=1e-7)
+
+
+class TestRepairNorms:
+    """nearest_definite_pair takes ||[X Y]||_2 from the n x n Gram matrix
+    X X^* + Y Y^* instead of an SVD of the n x 2n block."""
+
+    @pytest.mark.parametrize("n", [7, kernels.SUBSET_THRESHOLD])
+    def test_gram_norm_matches_the_svd(self, n):
+        rng = np.random.default_rng(n)
+        X, Y = random_hermitian(n, rng), random_hermitian(n, rng)
+        svd = np.linalg.norm(np.hstack([X, Y]), 2)
+        assert definite._stacked_norm(X, Y) == pytest.approx(svd, rel=1e-12)
+        # a repair's perturbations have low rank
+        rep = nearest_definite_pair(X, Y, delta=1e-2)
+        svd = np.linalg.norm(np.hstack([rep.deltaA, rep.deltaB]), 2)
+        assert definite._stacked_norm(rep.deltaA, rep.deltaB) \
+            == pytest.approx(svd, rel=1e-12)
+
+    @pytest.mark.parametrize("pair, method", [
+        (gallery.cheng_higham7(), "support"),
+        (gallery.grcar_pair(kernels.SUBSET_THRESHOLD), "subspace")])
+    def test_doubled_clip_fails_the_certificate(self, pair, method,
+                                                 monkeypatch):
+        eig = definite.hermitian_eig
+
+        def doubled_clip(M):
+            # D = V diag(clip) V^* doubles when V is scaled by sqrt(2)
+            dec = eig(M)
+            return EigDecomposition(dec.values, dec.vectors * np.sqrt(2.0))
+
+        monkeypatch.setattr(definite, "hermitian_eig", doubled_clip)
+        with pytest.raises(VerificationFailure, match="perturbation norm"):
+            nearest_definite_pair(*pair, delta=1e-2, method=method)
+
+
+def forbid_numpy_solvers(monkeypatch, n_min):
+    """numpy's eigensolvers and SVD (also behind ``norm(X, 2)``) raise on a
+    matrix with a dimension of ``n_min`` or more."""
+    linalg = np.linalg._linalg
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
+        def guard(a, *args, _orig=getattr(linalg, name), _name=name, **kw):
+            if max(np.shape(a)[-2:]) >= n_min:
+                raise AssertionError(f"numpy.linalg.{_name} on {np.shape(a)}")
+            return _orig(a, *args, **kw)
+        monkeypatch.setattr(linalg, name, guard)
+        monkeypatch.setattr(np.linalg, name, guard)
+
+
+class TestLibrarySplit:
+    """From SUBSET_THRESHOLD on, the dense evaluation loop solves on scipy's
+    LAPACK; below it nothing reaches scipy's handles."""
+
+    def test_no_numpy_solver_at_the_subset_dimension(self, monkeypatch):
+        n = kernels.SUBSET_THRESHOLD
+        A, B = gallery.grcar_pair(n)
+        forbid_numpy_solvers(monkeypatch, n)
+        res, _ = subspace_minimize(ParamHermitian.trig(A, B), omega1=0.45)
+        assert res.converged
+        rep = nearest_definite_pair(A, B, delta=1e-2, method="subspace",
+                                    omega0=0.45)
+        assert rep.distance == pytest.approx(res.f_star + 1e-2, abs=1e-10)
+
+    def test_guard_catches_a_numpy_solve(self, monkeypatch):
+        n = kernels.SUBSET_THRESHOLD
+        forbid_numpy_solvers(monkeypatch, n)
+        np.linalg.eigvalsh(np.eye(n - 1))
+        with pytest.raises(AssertionError, match="svd"):
+            np.linalg.norm(np.eye(n), 2)
+
+    def test_small_pairs_do_not_touch_scipy_handles(self, monkeypatch):
+        def no_handle(name, dtype):
+            raise AssertionError(f"scipy {name} below SUBSET_THRESHOLD")
+
+        monkeypatch.setattr(kernels, "_scipy_routine", no_handle)
+        res = eigopt_minimize(ParamHermitian.trig(*gallery.cheng_higham7()))
+        assert res.f_star == pytest.approx(0.8118872239262367, abs=1e-9)
 
 
 class TestRotatePair:

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from inropt import gallery, kernels
+from inropt.param import ParamHermitian
 from inropt.errors import ConvergenceFailure, NonHermitianInput
 from inropt.kernels import (EIG_RESIDUAL_TOL, Basis, HermitianOperator,
                             hermitian_eig, is_pd, largest_eigpairs,
@@ -394,6 +395,96 @@ class TestLargestEigpairs:
         v2, V2 = largest_eigpairs(P, eps_cluster=1e-6, max_pairs=3)
         assert np.array_equal(v1, v2)
         assert np.array_equal(V1, V2)
+
+
+def triple_top_dense(n, complex_):
+    """Q diag(d) Q^* with a random unitary (orthogonal) Q: the top
+    eigenvalue 5 is triple, and the rest of d falls from 4.5 to -5."""
+    rng = np.random.default_rng(n)
+    Z = rng.standard_normal((n, n))
+    if complex_:
+        Z = Z + 1j * rng.standard_normal((n, n))
+    Q = np.linalg.qr(Z)[0]
+    d = np.concatenate([[5.0, 5.0, 5.0], np.linspace(4.5, -5.0, n - 3)])
+    M = (Q * d[np.newaxis, :]) @ Q.conj().T
+    return (M + M.conj().T) / 2.0
+
+
+class TestDenseSubsetPath:
+    """From ``SUBSET_THRESHOLD`` on, dense storage takes the top pairs of
+    LAPACK ?heevr/?syevr; they must match numpy's full decomposition."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", [kernels.SUBSET_THRESHOLD, 640])
+    def test_matches_full_eigh(self, n, complex_, monkeypatch):
+        M = triple_top_dense(n, complex_)
+        w, V = np.linalg.eigh(M)
+        w, V = w[::-1], V[:, ::-1]
+        ks = []
+        evr = kernels._evr
+        monkeypatch.setattr(kernels, "_evr",
+                            lambda A, k, *a: ks.append(k) or evr(A, k, *a))
+        for eps in (1e-6, np.inf):
+            for max_pairs in (1, 10):
+                vals, vecs = largest_eigpairs(M, eps, max_pairs)
+                size = max_pairs if np.isinf(eps) else min(3, max_pairs)
+                assert len(vals) == size and vecs.shape == (n, size)
+                assert vecs.dtype == M.dtype
+                np.testing.assert_allclose(vals, w[:size], rtol=0,
+                                           atol=1e-12)
+                assert np.abs(vecs.conj().T @ vecs - np.eye(size)).max() \
+                    <= 1e-12
+                R = M @ vecs - vecs * vals[np.newaxis, :]
+                assert np.linalg.norm(R, axis=0).max() <= 1e-11
+                # A cut through the triple leaves the vector free inside
+                # it; otherwise the spans agree.
+                m = 3 if size == 1 else size
+                P = V[:, :m] @ V[:, :m].conj().T
+                assert np.abs(P @ vecs - vecs).max() <= 1e-10
+                if size == m:
+                    assert np.abs(vecs @ vecs.conj().T - P).max() <= 1e-10
+        assert ks == [1, 10, 1, 10]  # top pairs only, never all n
+
+    def test_short_subset_takes_the_full_decomposition(self):
+        # At w = pi/2 the saddle pair (S, J) evaluates to J plus 6e-17 S:
+        # the top eigenvalue 1 has multiplicity 250, and the index range of
+        # the top 10 cuts through that tie, where LAPACK's ?syevr returns
+        # fewer than 10 pairs.
+        S, J = gallery.synthetic_saddle(250, 70, seed=1)
+        M = ParamHermitian.trig(S, J).evaluate(np.pi / 2.0)
+        assert M.dim == 320 >= kernels.SUBSET_THRESHOLD
+        vals, vecs = largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
+        assert len(vals) == 10
+        np.testing.assert_allclose(vals, 1.0, rtol=0, atol=1e-12)
+        assert np.abs(vecs.T @ vecs - np.eye(10)).max() <= 1e-12
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_full_and_values_only_calls_match_numpy(self, complex_):
+        n = kernels.SUBSET_THRESHOLD
+        M = triple_top_dense(n, complex_)
+        w = np.linalg.eigvalsh(M)[::-1]
+        dec = hermitian_eig(M)
+        np.testing.assert_allclose(dec.values, w, rtol=0, atol=1e-12)
+        R = M @ dec.vectors - dec.vectors * dec.values[np.newaxis, :]
+        assert np.linalg.norm(R, axis=0).max() <= 1e-11
+        np.testing.assert_allclose(kernels.hermitian_eigvals(M), w, rtol=0,
+                                   atol=1e-12)
+        assert spectral_norm_ub(M) == pytest.approx(5.0, rel=1e-14)
+
+    @pytest.mark.parametrize("shapes", [((300, 7), (7, 300)),
+                                        ((7, 300), (300, 5)),
+                                        ((300, 300), (300,)),
+                                        ((300,), (300, 4)),
+                                        ((300,), (300,))])
+    def test_matmul_matches_numpy(self, shapes):
+        rng = np.random.default_rng(5)
+        a, b = (rng.standard_normal(s) + 1j * rng.standard_normal(s)
+                for s in shapes)
+        for x, y in ((a, b), (a.real, b), (np.asfortranarray(a), b.real),
+                     (a[::-1], b)):
+            out = kernels.matmul(x, y)
+            assert out.shape == (x @ y).shape
+            np.testing.assert_allclose(out, x @ y, rtol=1e-13, atol=1e-12)
 
 
 class TestIsPd:
