@@ -14,7 +14,7 @@ from .param import (ClarkeInterval, EigEval, ParamHermitian, Term,
                     clarke_interval, default_gamma_trig, eig_max_eval)
 from .results import MinResult, Status
 from .support import (PiecewiseModel, SupportPoint, eigopt_minimize,
-                      eigopt_minimize_callback, two_support_intersection)
+                      eigopt_minimize_callback)
 from .levelset import (CircularInterval, LevelSetTrace, level_intervals,
                        levelset_minimize)
 from .subspace import SubspaceState, subspace_minimize, verify_interpolation
@@ -41,5 +41,5 @@ __all__ = [
     "largest_eigpairs", "level_intervals", "levelset_minimize", "mmio",
     "nearest_definite_pair", "orthonormal_extend", "pencil_unit_eigs",
     "rotate_pair", "saddle_shift", "spectral_norm_ub", "subspace_minimize",
-    "two_support_intersection", "verify_interpolation",
+    "verify_interpolation",
 ]

@@ -261,7 +261,7 @@ def saddle_shift(S, n: int, m: int, method: str = "auto", **opts):
     mu = np.cos(phi_shift) / np.sin(phi_shift)
     M = Sop.dense - mu * np.diag(signs)
     M = (M + M.conj().T) / 2.0
-    lam_min = float(np.linalg.eigvalsh(M)[0])
+    lam_min = float(hermitian_eigvals(M)[-1])
     if not is_pd(M):
         raise VerificationFailure(
             f"definite pair but S - mu*J has lambda_min = {lam_min:.3e}")

@@ -5,11 +5,13 @@ definiteness layer) goes through the small set of operations in this module:
 Hermitian eigendecomposition, positive-definiteness tests (Cholesky for
 dense, symmetric LDL^T for sparse storage), clustered largest-eigenpair
 extraction, unit-circle pencil eigenvalues, and orthonormal basis extension.
-From ``SUBSET_THRESHOLD`` on, dense storage solves for the top eigenpairs
-only, by LAPACK ?heevr/?syevr, and the dense products (:func:`matmul`) and
-other dense eigensolves at that size run on scipy's BLAS and LAPACK too, so
-that an evaluation loop keeps to one of the two OpenBLAS copies that numpy
-and scipy load; smaller dense work, and the level-set pencil, stay on numpy.
+Every dense Hermitian eigensolve of the package goes through one function,
+:func:`_dense_eigh`, and the dimension alone picks its library: numpy's
+below ``SUBSET_THRESHOLD``, and from there on scipy's LAPACK ?heevr/?syevr
+for the top eigenpairs only.  Dense products (:func:`matmul`) follow the
+same threshold, so that an evaluation loop keeps to one of the two OpenBLAS
+copies that numpy and scipy load.  The level-set pencil, which is not
+Hermitian, stays on numpy.
 On large sparse operators one loose Lanczos cycle moves a coarsely
 bracketed shift just above the largest eigenvalue, shift-invert Lanczos
 starts from two pairs, and an LDL^T inertia count certifies the size of the
@@ -35,8 +37,8 @@ from .errors import ConvergenceFailure, NonHermitianInput, SingularPencil
 # Below this dimension, iterative paths densify instead.
 DENSE_THRESHOLD = 1000
 # From this dimension on, dense storage solves for the top eigenpairs only,
-# through LAPACK ?heevr/?syevr, and the dense products and eigensolves
-# around that solve run on scipy's OpenBLAS as well: numpy loads another
+# through LAPACK ?heevr/?syevr, and every dense product and eigensolve at
+# that size runs on scipy's OpenBLAS as well: numpy loads another
 # copy, and alternating between the two thread pools costs more than the
 # subset saves.  Below it, the numpy work next to the evaluations (the
 # level-set pencil of a 140- or 200-dimensional pair) slowed by more than
@@ -87,6 +89,9 @@ class HermitianOperator:
 
     def _check_hermitian(self):
         M = self.raw
+        # A NaN deviation compares False against any tolerance.
+        if not np.isfinite(M if self.is_dense else M.data).all():
+            raise NonHermitianInput("matrix has non-finite entries")
         dev = abs(M - M.conj().T).max()
         norm = np.linalg.norm if self.is_dense else spla.norm
         scale = max(1.0, float(norm(M)))
@@ -163,59 +168,51 @@ def hermitian_eig(M) -> EigDecomposition:
     eigenvector columns paired to them.
     """
     op = as_hermitian(M)
-    if op.dim >= SUBSET_THRESHOLD:
-        vals, vecs = _evr(op.dense, op.dim)
-        return EigDecomposition(values=vals, vectors=vecs)
-    try:
-        w, V = np.linalg.eigh(op.dense)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
-    return EigDecomposition(values=w[::-1].copy(), vectors=V[:, ::-1].copy())
+    vals, vecs = _dense_eigh(op.dense, op.dim, vectors=True)
+    return EigDecomposition(values=vals, vectors=vecs)
 
 
 def hermitian_eigvals(M) -> np.ndarray:
     """Eigenvalues of a dense Hermitian matrix, in descending order."""
     M = as_hermitian(M, check=False).dense
-    if M.shape[0] >= SUBSET_THRESHOLD:
-        return _evr(M, M.shape[0], vectors=False)[0]
-    return np.linalg.eigvalsh(M)[::-1].copy()
+    return _dense_eigh(M, M.shape[0], vectors=False)[0]
+
+
+def _dense_eigh(M: np.ndarray, k: int, vectors: bool):
+    """The k largest eigenvalues of a dense Hermitian M, descending, with
+    their eigenvector columns (None when ``vectors`` is false).
+
+    Every dense Hermitian eigensolve goes through here.  Below
+    ``SUBSET_THRESHOLD`` it is numpy's full ``eigh``/``eigvalsh``; from there
+    on scipy's LAPACK ?heevr/?syevr on the upper triangle, with its optimal
+    workspace, for the index range of the top k only.  A range that cuts
+    through a tie can come back short, with fewer than k pairs; the top k
+    of the full decomposition then replace them.  A LAPACK failure raises
+    ConvergenceFailure.
+    """
+    n = M.shape[0]
+    try:
+        if n < SUBSET_THRESHOLD:
+            w, V = (np.linalg.eigh(M) if vectors
+                    else (np.linalg.eigvalsh(M), None))
+        else:
+            out = sla.eigh(np.asarray(M, dtype=np.result_type(M, np.float64)),
+                           lower=False, driver="evr",
+                           subset_by_index=None if k >= n else (n - k, n - 1),
+                           eigvals_only=not vectors, check_finite=False)
+            w, V = out if vectors else (out, None)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
+    if len(w) < k:
+        w, V = _dense_eigh(M, n, vectors)
+        return w[:k], (V[:, :k] if vectors else None)
+    return w[::-1][:k].copy(), (V[:, ::-1][:, :k].copy() if vectors else None)
 
 
 @functools.lru_cache(maxsize=None)
-def _scipy_routine(name: str, dtype: np.dtype):
-    """scipy's BLAS ``gemm`` or LAPACK routine ``name`` for ``dtype``,
-    looked up once."""
-    get = sla.get_blas_funcs if name == "gemm" else sla.get_lapack_funcs
-    return get((name,), dtype=dtype)[0]
-
-
-def _evr(M: np.ndarray, k: int, vectors: bool = True):
-    """The k largest eigenvalues of a dense Hermitian M, descending, with
-    their eigenvectors (None when ``vectors`` is false), by LAPACK
-    ?heevr/?syevr on scipy's library.
-
-    ``k < n`` asks for the index range ``n-k+1..n``.  A range that cuts
-    through a tie can come back short, with fewer than k pairs; the top k
-    of the full decomposition then replace them.
-    """
-    n = M.shape[0]
-    M = np.asarray(M, dtype=np.result_type(M, np.float64))
-    complex_ = np.iscomplexobj(M)
-    name = ("he" if complex_ else "sy") + "evr"
-    evr = _scipy_routine(name, M.dtype)
-    # The routine's default workspace is the minimal one, which leaves the
-    # blocked tridiagonal reduction unblocked; query the optimal one.
-    work = _scipy_routine(name + "_lwork", M.dtype)(n)[:-1]
-    names = ("lwork", "lrwork", "liwork") if complex_ else ("lwork", "liwork")
-    sizes = {key: int(np.real(w)) for key, w in zip(names, work)}
-    subset = {} if k >= n else {"range": "I", "il": n - k + 1, "iu": n}
-    w, z, m, _, info = evr(M, compute_v=int(vectors), **subset, **sizes)
-    if info != 0:
-        raise ConvergenceFailure(f"dense eigensolver failed: {name} info {info}")
-    if m < k:
-        vals, vecs = _evr(M, n, vectors)
-        return vals[:k], (vecs[:, :k] if vectors else None)
-    return w[m - 1::-1].copy(), (z[:, m - 1::-1].copy() if vectors else None)
+def _gemm(dtype: np.dtype):
+    """scipy's BLAS ``gemm`` for ``dtype``, looked up once."""
+    return sla.get_blas_funcs(("gemm",), dtype=dtype)[0]
 
 
 def is_pd(M) -> bool:
@@ -279,9 +276,8 @@ def largest_eigpairs(M, eps_cluster: float, max_pairs: int,
     Returns ``(values, vectors)`` where values[0] is the largest eigenvalue
     and every further value lies within ``eps_cluster`` of it (capped at
     ``max_pairs``).  Dense storage, or any operator below the dense
-    threshold, goes through the full decomposition below
-    ``SUBSET_THRESHOLD`` and through the top ``max_pairs`` eigenpairs of
-    LAPACK ?heevr/?syevr from there on.  Larger sparse operators take the
+    threshold, takes the top ``max_pairs`` eigenpairs of
+    :func:`_dense_eigh`.  Larger sparse operators take the
     certified shift-invert Lanczos of :func:`_top_eigpairs_sparse`, which
     raises ConvergenceFailure unless the largest eigenvalue and the size of
     its cluster are certified.  An infinite ``eps_cluster`` asks
@@ -296,11 +292,8 @@ def largest_eigpairs(M, eps_cluster: float, max_pairs: int,
     n = op.dim
     if not (op.is_dense or below_dense_threshold(n)):
         vals, vecs = _top_eigpairs_sparse(op, eps_cluster, max_pairs, lower)
-    elif n >= SUBSET_THRESHOLD:
-        vals, vecs = _evr(op.dense, min(max_pairs, n))
     else:
-        dec = hermitian_eig(op)
-        vals, vecs = dec.values, dec.vectors
+        vals, vecs = _dense_eigh(op.dense, min(max_pairs, n), vectors=True)
     keep = 1
     while (keep < min(max_pairs, len(vals))
            and vals[0] - vals[keep] <= eps_cluster):
@@ -477,7 +470,8 @@ def spectral_norm_ub(M) -> float:
     return float(spla.norm(op.raw, 1))
 
 
-def pencil_unit_eigs(C: np.ndarray, alpha: float):
+def pencil_unit_eigs(C: np.ndarray, alpha: float,
+                     norm_c: Optional[float] = None):
     """Angles of near-unit-modulus eigenvalues of the level pencil.
 
     Builds ``R(alpha) = [[2*alpha*I, -C], [I, 0]]`` against
@@ -486,17 +480,15 @@ def pencil_unit_eigs(C: np.ndarray, alpha: float):
     ``CIRCLE_TOL * max(1, ||C||_2)``.  The angles are candidates only; the
     caller must keep those where alpha is really the largest eigenvalue of
     the rotated Hermitian part.  A well-conditioned ``C`` takes the standard
-    eigenproblem of ``S^{-1} R``, any other the QZ algorithm.
+    eigenproblem of ``S^{-1} R``, any other the QZ algorithm.  ``norm_c``
+    is ``||C||_2`` when the caller has it, as a solve over several levels
+    of one C does; None takes it here.
     """
     C = np.asarray(C, dtype=complex)
     if C.shape[0] != C.shape[1]:
         raise ValueError("C must be square")
-    return _pencil_unit_eigs(C, alpha, float(np.linalg.norm(C, 2)))
-
-
-def _pencil_unit_eigs(C: np.ndarray, alpha: float, norm_c: float):
-    """:func:`pencil_unit_eigs` of a square complex C with ``||C||_2``
-    given, for callers that solve several levels of one C."""
+    if norm_c is None:
+        norm_c = float(np.linalg.norm(C, 2))
     n = C.shape[0]
     eye = np.eye(n)
     zero = np.zeros((n, n))
@@ -596,7 +588,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if max(a.shape + b.shape) < SUBSET_THRESHOLD:
         return a @ b
-    gemm = _scipy_routine("gemm", np.result_type(a, b, np.float64))
+    gemm = _gemm(np.result_type(a, b, np.float64))
     a2, ta = _fortran(a.reshape(1, -1) if a.ndim == 1 else a)
     b2, tb = _fortran(b.reshape(-1, 1) if b.ndim == 1 else b)
     out = gemm(1.0, a2, b2, trans_a=ta, trans_b=tb)

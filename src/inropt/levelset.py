@@ -12,11 +12,13 @@ iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .errors import EmptyLevelSet
-from .kernels import _pencil_unit_eigs, hermitian_split, is_pd
+from .kernels import (hermitian_eigvals, hermitian_split, is_pd,
+                      pencil_unit_eigs)
 from .param import ParamHermitian, top_cluster
 from .results import MinResult, Status
 
@@ -68,25 +70,24 @@ def _below(H, level):
     return is_pd(level * np.eye(len(H)) - H)
 
 
-def level_intervals(C: np.ndarray, alpha: float):
+def level_intervals(C: np.ndarray, alpha: float,
+                    norm_c: Optional[float] = None):
     """Maximal open intervals where lambda_max(H(theta)) < alpha.
 
     Candidate crossings come from the level pencil; only angles where alpha
     really is the largest eigenvalue survive.  Gaps between consecutive
     surviving angles are classified by the sign of f(midpoint) - alpha and
     merged into maximal circular intervals.  Both tests are Cholesky trials.
+    ``norm_c`` is ``||C||_2`` when the caller has it, so that one solve
+    takes it once; None takes it here.
     """
     C = np.asarray(C, dtype=complex)
-    return _level_intervals(C, alpha, float(np.linalg.norm(C, 2)))
-
-
-def _level_intervals(C: np.ndarray, alpha: float, norm_c: float):
-    """:func:`level_intervals` of a complex C with ``||C||_2`` given, so
-    that one solve takes it once."""
+    if norm_c is None:
+        norm_c = float(np.linalg.norm(C, 2))
     P = ParamHermitian.trig(*hermitian_split(C))
     tau = FILTER_TOL * max(1.0, norm_c)
     kept = []
-    for t in _pencil_unit_eigs(C, alpha, norm_c):
+    for t in pencil_unit_eigs(C, alpha, norm_c):
         H = P.evaluate(t).dense
         if _below(H, alpha + tau) and not _below(H, alpha - tau):
             kept.append(t)
@@ -140,7 +141,7 @@ def levelset_minimize(C: np.ndarray, tol: float = TOL_DEFAULT,
     norm_c = float(np.linalg.norm(C, 2))  # one SVD per solve
 
     def lam_max(theta):
-        return float(np.linalg.eigvalsh(P.evaluate(theta).dense)[-1])
+        return float(hermitian_eigvals(P.evaluate(theta))[0])
 
     trace = LevelSetTrace()
     r = lam_max(0.0)
@@ -151,7 +152,7 @@ def levelset_minimize(C: np.ndarray, tol: float = TOL_DEFAULT,
     note = ""
     for _ in range(max_iter):
         try:
-            intervals = _level_intervals(C, r, norm_c)
+            intervals = level_intervals(C, r, norm_c)
         except EmptyLevelSet:
             status = Status.CONVERGED
             note = "level set vanished"

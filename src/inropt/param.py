@@ -15,7 +15,8 @@ import scipy.sparse as sp
 
 from .errors import NonHermitianInput
 from .kernels import (Basis, HermitianOperator, as_hermitian,
-                      largest_eigpairs, matmul, spectral_norm_ub)
+                      hermitian_eigvals, largest_eigpairs, matmul,
+                      spectral_norm_ub)
 
 EPS_CLUSTER_DEFAULT = 1e-6
 MAX_CLUSTER_DEFAULT = 10
@@ -157,11 +158,11 @@ class TopCluster:
     def lambda_max(self) -> float:
         return float(self.values[0])
 
-    def _block_eigvalsh(self, m: int) -> np.ndarray:
-        """Ascending eigenvalues of U^* A'(w) U over the first m columns."""
+    def _block_eigvals(self, m: int) -> np.ndarray:
+        """Descending eigenvalues of U^* A'(w) U over the first m columns."""
         U = self.vectors[:, :m]
         S = matmul(U.conj().T, self.dA.apply(U))
-        return np.linalg.eigvalsh((S + S.conj().T) / 2.0)
+        return hermitian_eigvals((S + S.conj().T) / 2.0)
 
     @property
     def slope(self) -> float:
@@ -171,12 +172,12 @@ class TopCluster:
             m += 1
         if m == 1:
             return self.top_derivative.real
-        return float(self._block_eigvalsh(m)[-1])
+        return float(self._block_eigvals(m)[0])
 
     @property
     def clarke(self) -> ClarkeInterval:
-        w = self._block_eigvalsh(len(self.values))
-        return ClarkeInterval(lo=float(w[0]), hi=float(w[-1]))
+        w = self._block_eigvals(len(self.values))
+        return ClarkeInterval(lo=float(w[-1]), hi=float(w[0]))
 
 
 def top_cluster(P: ParamHermitian, omega: float,

@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ReducedSolveFailure
-from .kernels import Basis, largest_eigpairs, orthonormal_extend
+from .kernels import (Basis, hermitian_eigvals, largest_eigpairs,
+                      orthonormal_extend)
 from .param import EPS_CLUSTER_DEFAULT, ParamHermitian, default_gamma_trig, \
     top_cluster
 from .results import MinResult, Status
@@ -129,6 +130,6 @@ def verify_interpolation(state: SubspaceState, P: ParamHermitian,
     p = state.cluster_sizes[k] if k < len(state.cluster_sizes) else 1
     p = max(1, min(p, state.basis.size))
     full_vals, _ = largest_eigpairs(P.evaluate(omega), np.inf, p)
-    red_vals = np.linalg.eigvalsh(state.reduced.evaluate(omega).dense)[::-1]
+    red_vals = hermitian_eigvals(state.reduced.evaluate(omega))
     p = min(p, len(red_vals), len(full_vals))
     return float(np.max(np.abs(full_vals[:p] - red_vals[:p])))

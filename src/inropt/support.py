@@ -74,22 +74,6 @@ def _segment_min(s1: SupportPoint, s2: SupportPoint, lo, hi):
     return best
 
 
-def two_support_intersection(s1: SupportPoint, s2: SupportPoint, interval):
-    """Minimizer of max(q1, q2) over [lo, hi] for supports sharing gamma.
-
-    The minimum sits at an endpoint or at the crossing of the quadratics;
-    coinciding quadratics are least at an endpoint.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not s1.omega < s2.omega:
-        raise ValueError("supports must satisfy s1.omega < s2.omega")
-    if s1.gamma != s2.gamma:
-        raise ValueError("supports must share the curvature bound")
-    if lo > hi:
-        raise ValueError("empty interval")
-    return _segment_min(s1, s2, lo, hi)
-
-
 class _Gap:
     """One segment between adjacent support abscissae (or a domain edge)."""
 

@@ -132,6 +132,22 @@ class TestInr:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("method", ["support", "subspace", "levelset"])
+    def test_non_finite_input_exit_code(self, ch_files, tmp_path, capsys,
+                                        method):
+        # One NaN entry is an input error, raised before any eigensolve:
+        # not a solver failure inside LAPACK.
+        A, _ = gallery.cheng_higham7()
+        A[2, 2] = np.nan
+        pa = tmp_path / "nanA.mtx"
+        write_matrix(pa, A)
+        code = main(["inr", "--pair", str(pa), ch_files[1],
+                     "--method", method])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "non-finite" in err
+
     def test_parse_error_exit_code(self, capsys):
         code = main(["inr", "--matrix", "/nonexistent/x.mtx"])
         assert code == 1

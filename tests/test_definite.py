@@ -257,6 +257,18 @@ class TestLibrarySplit:
                                     omega0=0.45)
         assert rep.distance == pytest.approx(res.f_star + 1e-2, abs=1e-10)
 
+    def test_saddle_shift_at_the_subset_dimension(self, monkeypatch):
+        # The certificate's lambda_min of S - mu*J is a dense solve of
+        # dimension n + m; from the threshold on it runs on scipy too.
+        n, m = 200, 60
+        assert n + m >= kernels.SUBSET_THRESHOLD
+        S, J = gallery.synthetic_saddle(n, m, seed=1)
+        forbid_numpy_solvers(monkeypatch, kernels.SUBSET_THRESHOLD)
+        mu, lam_min = saddle_shift(S, n, m, method="subspace")
+        monkeypatch.undo()
+        exact = np.linalg.eigvalsh(S - mu * J)[0]
+        assert lam_min == pytest.approx(exact, rel=1e-10) and lam_min > 0
+
     def test_guard_catches_a_numpy_solve(self, monkeypatch):
         n = kernels.SUBSET_THRESHOLD
         forbid_numpy_solvers(monkeypatch, n)
@@ -265,10 +277,11 @@ class TestLibrarySplit:
             np.linalg.norm(np.eye(n), 2)
 
     def test_small_pairs_do_not_touch_scipy_handles(self, monkeypatch):
-        def no_handle(name, dtype):
-            raise AssertionError(f"scipy {name} below SUBSET_THRESHOLD")
+        def no_handle(*args, **kwargs):
+            raise AssertionError("scipy's library below SUBSET_THRESHOLD")
 
-        monkeypatch.setattr(kernels, "_scipy_routine", no_handle)
+        monkeypatch.setattr(kernels, "_gemm", no_handle)
+        monkeypatch.setattr(sla, "eigh", no_handle)
         res = eigopt_minimize(ParamHermitian.trig(*gallery.cheng_higham7()))
         assert res.f_star == pytest.approx(0.8118872239262367, abs=1e-9)
 

@@ -120,6 +120,28 @@ class TestHermitianEig:
         zero = hermitian_eig(sp.csr_matrix((3, 3)))
         assert np.array_equal(zero.values, np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_non_finite_rejected(self, bad, sparse, monkeypatch):
+        # A NaN deviation compares False against the tolerance; the check
+        # must still reject the matrix, before any eigensolve runs.
+        M = np.eye(4)
+        M[1, 1] = bad
+        if sparse:
+            M = sp.csr_matrix(M)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigensolver reached")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_solve)
+        monkeypatch.setattr(sla, "eigh", no_solve)
+        with pytest.raises(NonHermitianInput, match="non-finite"):
+            HermitianOperator(M)
+        with pytest.raises(NonHermitianInput, match="non-finite"):
+            hermitian_eig(M)
+        with pytest.raises(NonHermitianInput, match="non-finite"):
+            ParamHermitian.trig(M, np.eye(4))
+
 
 class TestLargestEigpairs:
     def test_cluster_included(self):
@@ -421,9 +443,14 @@ class TestDenseSubsetPath:
         w, V = np.linalg.eigh(M)
         w, V = w[::-1], V[:, ::-1]
         ks = []
-        evr = kernels._evr
-        monkeypatch.setattr(kernels, "_evr",
-                            lambda A, k, *a: ks.append(k) or evr(A, k, *a))
+        eigh = sla.eigh
+
+        def recording(A, *args, subset_by_index=None, **kwargs):
+            lo, hi = subset_by_index or (0, n - 1)
+            ks.append(hi - lo + 1)
+            return eigh(A, *args, subset_by_index=subset_by_index, **kwargs)
+
+        monkeypatch.setattr(sla, "eigh", recording)
         for eps in (1e-6, np.inf):
             for max_pairs in (1, 10):
                 vals, vecs = largest_eigpairs(M, eps, max_pairs)
@@ -470,6 +497,27 @@ class TestDenseSubsetPath:
         np.testing.assert_allclose(kernels.hermitian_eigvals(M), w, rtol=0,
                                    atol=1e-12)
         assert spectral_norm_ub(M) == pytest.approx(5.0, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [kernels.SUBSET_THRESHOLD - 1,
+                                   kernels.SUBSET_THRESHOLD])
+    def test_lapack_failure_is_a_convergence_failure(self, n, monkeypatch):
+        # numpy's LinAlgError is a ValueError, an input error to the CLI;
+        # a failed dense eigensolve must read as ConvergenceFailure on
+        # either side of the threshold.
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced LAPACK failure")
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, failing)
+        monkeypatch.setattr(sla, "eigh", failing)
+        M = triple_top_dense(n, complex_=False)
+        calls = [lambda: hermitian_eig(M),
+                 lambda: kernels.hermitian_eigvals(M),
+                 lambda: largest_eigpairs(M, 1e-6, 10),
+                 lambda: spectral_norm_ub(M)]
+        for call in calls:
+            with pytest.raises(ConvergenceFailure, match="forced"):
+                call()
 
     @pytest.mark.parametrize("shapes", [((300, 7), (7, 300)),
                                         ((7, 300), (300, 5)),
@@ -707,3 +755,25 @@ class TestSpectralNormUb:
         d[12345] = 1.0
         u = spectral_norm_ub(HermitianOperator(sp.diags(d).tocsr()))
         assert u >= 1.0
+
+
+def test_no_eigensolver_outside_kernels():
+    # One function in kernels.py picks the library of every dense Hermitian
+    # eigensolve; a direct eigh/eigvalsh call elsewhere in the package
+    # would bypass it.
+    import ast
+    from pathlib import Path
+
+    src = Path(kernels.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if name in ("eigh", "eigvalsh"):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []

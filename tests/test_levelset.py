@@ -95,9 +95,9 @@ class TestLevelIntervals:
         alpha = float(f_of(C)([0.0])[0])
         clean = level_intervals(C, alpha)
         bogus = [clean[0].midpoint, (clean[0].hi + 1e-3) % TWO_PI]
-        pencil = levelset._pencil_unit_eigs
-        monkeypatch.setattr(levelset, "_pencil_unit_eigs",
-                            lambda C, a, norm_c: np.sort(
+        pencil = levelset.pencil_unit_eigs
+        monkeypatch.setattr(levelset, "pencil_unit_eigs",
+                            lambda C, a, norm_c=None: np.sort(
                                 np.r_[pencil(C, a, norm_c), bogus]))
         assert level_intervals(C, alpha) == clean
         with pytest.raises(EmptyLevelSet):
@@ -186,15 +186,15 @@ class TestLevelsetMinimize:
 
     def test_one_spectral_norm_per_solve(self, monkeypatch):
         # ||C||_2 is a full SVD; C does not change within a solve, so the
-        # solve takes it once, and every level step keeps the intervals of
-        # the public level_intervals, which takes its own
+        # solve takes it once, and every level step keeps the intervals
+        # that level_intervals finds when it takes its own
         import inropt.levelset as levelset
         A, B = gallery.cheng_higham7()
         C = A + 1j * B
         steps = []
-        helper = levelset._level_intervals
+        helper = levelset.level_intervals
 
-        def recording(C, alpha, norm_c):
+        def recording(C, alpha, norm_c=None):
             out = helper(C, alpha, norm_c)
             steps.append((alpha, out))
             return out
@@ -207,7 +207,7 @@ class TestLevelsetMinimize:
                 svds.append(1)
             return norm(x, ord, *args, **kwargs)
 
-        monkeypatch.setattr(levelset, "_level_intervals", recording)
+        monkeypatch.setattr(levelset, "level_intervals", recording)
         monkeypatch.setattr(np.linalg, "norm", counting)
         res, _ = levelset_minimize(C)
         monkeypatch.undo()
@@ -216,3 +216,21 @@ class TestLevelsetMinimize:
         for alpha, got in steps:
             assert got == level_intervals(C, alpha)
         assert res.f_star == pytest.approx(0.8118872239262371, abs=1e-12)
+
+    def test_solve_calls_the_public_functions(self, monkeypatch):
+        # A wrapper on the public names, as a tracer installs one, sees
+        # every level step and every pencil solve of the loop.
+        import inropt.levelset as levelset
+        calls = {"level_intervals": 0, "pencil_unit_eigs": 0}
+        for name in calls:
+            def counting(*args, _orig=getattr(levelset, name), _name=name,
+                         **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(levelset, name, counting)
+        A, B = gallery.cheng_higham7()
+        res, trace = levelset_minimize(A + 1j * B)
+        assert res.status is Status.CONVERGED
+        # Each estimate after the first comes from one level step.
+        assert calls["level_intervals"] >= len(trace.estimates) - 1 >= 3
+        assert calls["pencil_unit_eigs"] == calls["level_intervals"]

@@ -9,9 +9,8 @@ from inropt.kernels import HermitianOperator
 from inropt.param import ParamHermitian, Term
 from inropt.results import Status
 from inropt.support import (DUPLICATE_REL, PERTURB_REL, PiecewiseModel,
-                            SupportPoint, eigopt_minimize,
-                            eigopt_minimize_callback,
-                            two_support_intersection)
+                            SupportPoint, _segment_min, eigopt_minimize,
+                            eigopt_minimize_callback)
 
 from oracles import fit_order, grid_min_trig, lam_max_trig, random_trig_pair
 
@@ -24,19 +23,21 @@ def tridiag_family():
 
 
 class TestTwoSupportIntersection:
+    """The minimum of the max of two supports over one gap of the model."""
+
     def test_hand_computed_crossing(self):
         # symmetric configuration: crossing at 0.5 where
         # q1(0.5) = 0 - 0.5 + (-2/2)(0.25) = -0.75
         s1 = SupportPoint(0.0, 0.0, -1.0, -2.0)
         s2 = SupportPoint(1.0, 0.0, +1.0, -2.0)
-        w, v = two_support_intersection(s1, s2, (0.0, 1.0))
+        w, v = _segment_min(s1, s2, 0.0, 1.0)
         assert w == pytest.approx(0.5, abs=1e-14)
         assert v == pytest.approx(-0.75, abs=1e-14)
 
     def test_symmetric_zero_slopes(self):
         s1 = SupportPoint(0.0, 1.0, 0.0, -1.0)
         s2 = SupportPoint(1.0, 1.0, 0.0, -1.0)
-        w, _ = two_support_intersection(s1, s2, (0.0, 1.0))
+        w, _ = _segment_min(s1, s2, 0.0, 1.0)
         assert w == pytest.approx(0.5, abs=1e-14)
 
     def test_crossing_outside_returns_endpoint(self):
@@ -44,7 +45,7 @@ class TestTwoSupportIntersection:
         # minimized at the right endpoint
         s1 = SupportPoint(0.0, 0.0, -1.0, -2.0)
         s2 = SupportPoint(1.0, 0.0, +1.0, -2.0)
-        w, v = two_support_intersection(s1, s2, (0.0, 0.2))
+        w, v = _segment_min(s1, s2, 0.0, 0.2)
         assert w == pytest.approx(0.2)
         assert v == pytest.approx(max(s1.q(0.2), s2.q(0.2)))
 
@@ -54,7 +55,7 @@ class TestTwoSupportIntersection:
         s1 = SupportPoint(-1.0, 0.5 * g, -g, g)
         s2 = SupportPoint(1.0, 0.5 * g, g, g)
         # the concave model is least at an endpoint (the left one on a tie)
-        assert two_support_intersection(s1, s2, (-1.0, 1.0)) == (-1.0, -1.0)
+        assert _segment_min(s1, s2, -1.0, 1.0) == (-1.0, -1.0)
 
 
 class TestPiecewiseModel:
