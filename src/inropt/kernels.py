@@ -47,10 +47,8 @@ SUBSET_THRESHOLD = 256
 # Residual tolerance for accepted eigenpairs, relative to ||M||_2.
 EIG_RESIDUAL_TOL = 1e-10
 # The sparse path brackets lambda_max to COARSE_REL_WIDTH, relative to
-# ||M||_1, before the shift refinement, and bisects on to SHIFT_REL_WIDTH
-# only when the refined shift fails its PD test.
+# ||M||_1, and keeps that certified shift unless the refinement beats it.
 COARSE_REL_WIDTH = 1e-2
-SHIFT_REL_WIDTH = 1e-3
 # A loose Lanczos cycle at the bracketed shift estimates lambda_max from
 # below, to this relative tolerance on its Ritz value; the shift then moves
 # to the estimate plus REFINED_REL_GAP * ||M||_1 if that shift tests PD.
@@ -320,8 +318,8 @@ def _top_eigpairs_sparse(op: HermitianOperator, eps_cluster: float,
        Lanczos cycle on ``(sigma*I - M)^{-1}``; its Ritz value estimates
        lambda_max from below, and a shift ``REFINED_REL_GAP * ||M||_1``
        above the estimate replaces sigma if it passes its PD test.  If it
-       fails, the bisection goes on from the estimate, which raises the
-       lower end, down to ``SHIFT_REL_WIDTH * ||M||_1``.
+       fails, lies at or above sigma, or the cycle stops short, sigma stays:
+       it is certified, and its factor is already in hand.
     3. Solve: Lanczos on ``(sigma*I - M)^{-1}`` for ``k = 2`` pairs, whose
        largest eigenvalues ``1/(sigma - lambda)`` belong to the largest
        eigenvalues of M and are well separated even when M's are clustered.
@@ -356,15 +354,11 @@ def _top_eigpairs_sparse(op: HermitianOperator, eps_cluster: float,
         else:
             hi = lower + width
     if lu is None:
-        lo, hi, lu = _bisect_shift(M, eye, lo, hi, None, width)
+        hi, lu = _bisect_shift(M, eye, lo, hi, width)
     # A fixed start vector makes repeated calls return the same bits.
     v0 = np.random.default_rng(12345).standard_normal(n).astype(M.dtype)
-    estimate, refined = _refine_shift(M, eye, hi, lu, v0, scale)
-    if refined is None:
-        # lambda_max lies at or above the estimate: bisect on from there.
-        lu = _bisect_shift(M, eye, max(lo, estimate), hi, lu,
-                           SHIFT_REL_WIDTH * scale)[2]
-    else:
+    refined = _refine_shift(M, eye, hi, lu, v0, scale)
+    if refined is not None:
         lu = refined
     inverse = spla.LinearOperator(M.shape, matvec=lu.solve, dtype=M.dtype)
     kmax = min(max_pairs + 1, n - 1)
@@ -409,10 +403,11 @@ def _top_eigpairs_sparse(op: HermitianOperator, eps_cluster: float,
         k = min(kmax, max(k, count) + 1)
 
 
-def _bisect_shift(M, eye, lo, hi, lu, width):
-    """Bisect ``(lo, hi]`` on PD tests of ``sigma*I - M`` down to ``width``;
-    ``lu`` factors ``hi*I - M``, or is None while hi is untested.  Returns
-    ``(lo, hi, lu)``; only the returned factor outlives the bisection."""
+def _bisect_shift(M, eye, lo, hi, width):
+    """Bisect ``(lo, hi]`` on PD tests of ``sigma*I - M`` down to ``width``.
+    Returns ``(hi, lu)`` with ``lu`` the factor of ``hi*I - M``; only that
+    factor outlives the bisection."""
+    lu = None
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
         trial = _ldl(mid * eye - M)
@@ -425,12 +420,11 @@ def _bisect_shift(M, eye, lo, hi, lu, width):
         if lu is None:
             raise ConvergenceFailure(
                 f"no positive definite shift found above {lo:.17g}")
-    return lo, hi, lu
+    return hi, lu
 
 
 def _refine_shift(M, eye, sigma, lu, v0, scale):
-    """Ritz estimate of lambda_max from below, and the factor of a shift
-    just above it or None.
+    """Factor of a shift just above a Ritz estimate of lambda_max, or None.
 
     ``lu`` factors ``sigma*I - M`` with ``sigma > lambda_max`` certified.
     One loose Lanczos cycle on ``(sigma*I - M)^{-1}`` gives a Ritz value
@@ -438,22 +432,19 @@ def _refine_shift(M, eye, sigma, lu, v0, scale):
     so the estimate ``sigma - 1/theta <= lambda_max``.  The shift
     ``REFINED_REL_GAP * scale`` above it takes one PD test: its factor is
     returned when it passes, None when it fails, lies at or above sigma, or
-    the cycle yields no value (the estimate is then ``-inf``).
+    the cycle stops short.
     """
     inverse = spla.LinearOperator(M.shape, matvec=lu.solve, dtype=M.dtype)
     try:
         theta = spla.eigsh(inverse, k=1, which="LA", tol=REFINE_TOL,
                            ncv=min(M.shape[0], 20), v0=v0,
                            return_eigenvectors=False)
-    except spla.ArpackNoConvergence as exc:
-        theta = exc.eigenvalues
-    if len(theta) == 0:
-        return -np.inf, None
-    estimate = sigma - 1.0 / np.real(theta).max()
-    shift = estimate + REFINED_REL_GAP * scale
+    except spla.ArpackNoConvergence:
+        return None
+    shift = sigma - 1.0 / np.real(theta).max() + REFINED_REL_GAP * scale
     if shift >= sigma:
-        return estimate, None
-    return estimate, _ldl(shift * eye - M)
+        return None
+    return _ldl(shift * eye - M)
 
 
 def spectral_norm_ub(M) -> float:

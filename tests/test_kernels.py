@@ -8,7 +8,8 @@ import scipy.sparse.linalg as spla
 
 from inropt import gallery, kernels
 from inropt.param import ParamHermitian
-from inropt.errors import ConvergenceFailure, NonHermitianInput
+from inropt.errors import (ConvergenceFailure, NonHermitianInput,
+                           SingularPencil)
 from inropt.kernels import (EIG_RESIDUAL_TOL, Basis, HermitianOperator,
                             hermitian_eig, is_pd, largest_eigpairs,
                             orthonormal_extend, pencil_unit_eigs,
@@ -26,19 +27,19 @@ def permuted_qep_matrix(beta, omega, seed):
     return M[p][:, p]
 
 
-def triple_top_matrix(complex_copy):
-    """Permuted blockdiag(X, X, X) of a real tridiagonal X with m = 500, or
-    its unitary diagonal similarity D M D^* with complex entries: the top
-    eigenvalue is triple, and the rest of the spectrum lies 0.45 below."""
+def repeated_top_matrix(copies, m, complex_copy=False):
+    """Permuted blockdiag(X, ..., X) of ``copies`` copies of a real
+    tridiagonal X of order m, or its unitary diagonal similarity D M D^*
+    with complex entries: the top eigenvalue has multiplicity ``copies``.
+    At 3 copies of m = 500 the rest of the spectrum lies 0.45 below."""
     rng = np.random.default_rng(0)
-    m = 500
     off = rng.standard_normal(m - 1)
     X = sp.diags([off, rng.standard_normal(m), off], [-1, 0, 1])
-    M = sp.block_diag([X, X, X]).tocsr()
-    p = rng.permutation(3 * m)
+    M = sp.block_diag([X] * copies).tocsr()
+    p = rng.permutation(copies * m)
     M = M[p][:, p]
     if complex_copy:
-        D = sp.diags(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 3 * m)))
+        D = sp.diags(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, copies * m)))
         M = (D @ M @ D.conj()).tocsr()
     return M
 
@@ -64,7 +65,7 @@ def refinements_recording(monkeypatch):
 
     def recording(M, eye, sigma, lu, v0, scale):
         out = refine(M, eye, sigma, lu, v0, scale)
-        replaced.append(out[1] is not None)
+        replaced.append(out is not None)
         return out
 
     monkeypatch.setattr(kernels, "_refine_shift", recording)
@@ -255,10 +256,11 @@ class TestLargestEigpairs:
                                         abs=EIG_RESIDUAL_TOL * norm1)
 
     @pytest.mark.parametrize("matrix", ["poisson", "qep-band"])
-    def test_failed_refined_shift_bisects_on(self, matrix, monkeypatch):
+    def test_failed_refined_shift_keeps_the_coarse_shift(self, matrix,
+                                                         monkeypatch):
         # a refined shift below the Ritz estimate lies below lambda_max, so
-        # its PD test fails; the bisection goes on from the coarse bracket
-        # to the fine width, and the result is the same, still certified
+        # its PD test fails; the coarse shift stays, no second bisection
+        # runs, and the result is the same, still certified
         M = (gallery.poisson2d(32) if matrix == "poisson"
              else permuted_qep_matrix(0.52, 1.0, seed=2))
         norm1 = spectral_norm_ub(M)
@@ -268,12 +270,11 @@ class TestLargestEigpairs:
         bisect, widths = kernels._bisect_shift, []
         monkeypatch.setattr(
             kernels, "_bisect_shift",
-            lambda M, eye, lo, hi, lu, width:
-                widths.append(width) or bisect(M, eye, lo, hi, lu, width))
+            lambda M, eye, lo, hi, width:
+                widths.append(width) or bisect(M, eye, lo, hi, width))
         vals, vecs = largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
         assert replaced == [False]
-        assert widths == [kernels.COARSE_REL_WIDTH * norm1,
-                          kernels.SHIFT_REL_WIDTH * norm1]
+        assert widths == [kernels.COARSE_REL_WIDTH * norm1]
         np.testing.assert_allclose(vals, top, rtol=0,
                                    atol=EIG_RESIDUAL_TOL * norm1)
         cert = (vals[0] + EIG_RESIDUAL_TOL * norm1) * sp.identity(M.shape[0])
@@ -284,8 +285,8 @@ class TestLargestEigpairs:
     @pytest.mark.parametrize("partial", [True, False],
                              ids=["partial-value", "no-value"])
     def test_refinement_cycle_cut_short(self, partial, monkeypatch):
-        # a refinement cycle that stops short still refines the shift from
-        # a partial Ritz value; without one the bracketed shift stays
+        # a refinement cycle that stops short keeps the bracketed shift,
+        # whether or not it hands back a partial Ritz value
         M = permuted_qep_matrix(0.52, 1.0, seed=2)
         top, _ = largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
         eigsh = spla.eigsh
@@ -299,7 +300,7 @@ class TestLargestEigpairs:
         monkeypatch.setattr(spla, "eigsh", cut_short)
         replaced = refinements_recording(monkeypatch)
         vals, _ = largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
-        assert replaced == [partial]
+        assert replaced == [False]
         np.testing.assert_allclose(vals, top, rtol=0, atol=1e-12)
 
     def test_refined_shift_cuts_inverse_applications(self, monkeypatch):
@@ -327,7 +328,7 @@ class TestLargestEigpairs:
                                                         monkeypatch):
         # Lanczos asks for 2 pairs; the inertia count finds 3 eigenvalues
         # in the cluster, so k grows until all 3 are found
-        M = triple_top_matrix(complex_copy)
+        M = repeated_top_matrix(3, 500, complex_copy)
         dense = np.linalg.eigvalsh(M.toarray())[::-1]
         assert dense[0] - dense[2] <= 1e-13 and dense[2] - dense[3] > 0.1
         ks = eigsh_recording_k(monkeypatch)
@@ -344,7 +345,7 @@ class TestLargestEigpairs:
         # Lanczos that skips the second-largest pair still returns true
         # eigenpairs and the true top; only the inertia count sees that
         # the cluster is incomplete
-        M = triple_top_matrix(False)
+        M = repeated_top_matrix(3, 500)
         eigsh = spla.eigsh
         ks = []
 
@@ -363,6 +364,30 @@ class TestLargestEigpairs:
         # growth is strictly monotone up to the cap max_pairs + 1
         assert ks[-1] == 11
         assert all(a < b for a, b in zip(ks, ks[1:]))
+
+    @pytest.mark.parametrize("max_pairs, expected_ks", [(2, [2, 3]),
+                                                        (3, [2, 4])])
+    def test_cluster_larger_than_max_pairs_returns_the_cap(
+            self, max_pairs, expected_ks, monkeypatch):
+        # four copies of the top eigenvalue, more than max_pairs: k grows
+        # to kmax = max_pairs + 1 and no further.  At max_pairs = 2 the
+        # count of 4 still exceeds the 3 Ritz values found there, but 2
+        # members of the cluster are in hand, so no failure is raised
+        M = repeated_top_matrix(4, 400)
+        dense = np.linalg.eigvalsh(M.toarray())[::-1]
+        assert dense[0] - dense[3] <= 1e-13 and dense[3] - dense[4] > 1e-8
+        norm1 = spectral_norm_ub(M)
+        ks = eigsh_recording_k(monkeypatch)
+        vals, vecs = largest_eigpairs(M, eps_cluster=1e-8,
+                                      max_pairs=max_pairs)
+        assert ks == expected_ks
+        assert len(vals) == max_pairs
+        np.testing.assert_allclose(vals, dense[:max_pairs], rtol=0,
+                                   atol=1e-12)
+        R = M @ vecs - vecs * vals[np.newaxis, :]
+        assert np.linalg.norm(R, axis=0).max() <= EIG_RESIDUAL_TOL * norm1
+        cert = (vals[0] + EIG_RESIDUAL_TOL * norm1) * sp.identity(M.shape[0])
+        assert is_pd((cert - M).tocsr())
 
     def test_pivoted_inertia_count_fails_certificate(self, monkeypatch):
         # a count from a pivoted factorization is no inertia count; it must
@@ -648,6 +673,30 @@ class TestPencil:
             ang = pencil_unit_eigs(C, lam_max_H(C, theta0)[-1])
             assert len(calls) > count
             self.check_sound_and_complete(C, theta0, ang)
+
+    def test_singular_pencil_retries_nudged(self, monkeypatch):
+        # C = 0 makes R - lambda*S singular for every lambda: QZ returns
+        # only infinite and undefined values, and the retry on C nudged off
+        # the singularity finds the crossings
+        calls = []
+        qz = sla.eig
+
+        def recording_qz(*args, **kwargs):
+            calls.append(qz(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(sla, "eig", recording_qz)
+        ang = pencil_unit_eigs(np.zeros((2, 2)), 0.0)
+        assert len(calls) == 2
+        assert not np.isfinite(calls[0]).any()
+        assert len(ang) == 4
+        assert np.all((0.0 <= ang) & (ang < 2.0 * np.pi))
+
+    def test_singular_pencil_after_the_retry_raises(self, monkeypatch):
+        monkeypatch.setattr(sla, "eig", lambda *args, **kwargs:
+                            np.array([np.inf, np.nan, np.inf, np.nan]))
+        with pytest.raises(SingularPencil):
+            pencil_unit_eigs(np.zeros((2, 2)), 0.0)
 
 
 class TestOrthonormalExtend:

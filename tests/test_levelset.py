@@ -234,3 +234,20 @@ class TestLevelsetMinimize:
         # Each estimate after the first comes from one level step.
         assert calls["level_intervals"] >= len(trace.estimates) - 1 >= 3
         assert calls["pencil_unit_eigs"] == calls["level_intervals"]
+
+    def test_zero_matrix_level_set_vanishes(self):
+        # every level pencil of C = 0 is singular; the nudged retry finds
+        # crossings, but no gap between them lies below the level 0, which
+        # is the minimum
+        res, _ = levelset_minimize(np.zeros((2, 2)))
+        assert res.status is Status.CONVERGED
+        assert res.note == "level set vanished"
+        assert res.f_star == 0.0
+
+    def test_collapsed_level_set_stops(self):
+        # with tol = 0 the decrease test never stops the run at the kink;
+        # the sub-level intervals shrink below angle resolution first
+        res, _ = levelset_minimize(gallery.tridiag_nonsmooth(10), tol=0.0)
+        assert res.status is Status.CONVERGED
+        assert res.note == "level set collapsed below angle resolution"
+        assert res.f_star == pytest.approx(-1.0, abs=1e-13)

@@ -118,3 +118,23 @@ class TestSubspaceMinimize:
             if not (res.lower_bound <= res.f_star and res.lower_bound <= ref):
                 bad.append((i, res.lower_bound - min(res.f_star, ref)))
         assert not bad
+
+    def test_stagnation_stops_with_the_gap(self, monkeypatch):
+        # a basis that accepts no new direction after the first one ends
+        # the run early, reporting the uncertified full/reduced gap
+        import inropt.subspace as subspace
+        extend, calls = subspace.orthonormal_extend, []
+
+        def extend_once(V, W):
+            calls.append(1)
+            return extend(V, W) if len(calls) == 1 else V
+
+        monkeypatch.setattr(subspace, "orthonormal_extend", extend_once)
+        P, _, _ = cheng_higham_family()
+        res, _ = subspace_minimize(P, omega1=0.45)
+        # the first basis, then the one expansion that stagnated
+        assert len(calls) == 2 and res.iterations == 1
+        assert res.status is Status.MAX_ITERATIONS
+        assert "stagnation" in res.note
+        assert "full/reduced gap" in res.note
+        assert res.lower_bound <= res.f_star
