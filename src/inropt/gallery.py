@@ -127,7 +127,8 @@ def qep_mass_spring4():
 
 def qep_linearization(Aq, Bq, Cq):
     """Hermitian pair (A1, B1) whose definiteness decides hyperbolicity:
-    A1 = [[-Cq, 0], [0, Aq]],  B1 = -[[Bq, Aq], [Aq, 0]]."""
+    A1 = [[-Cq, 0], [0, Aq]],  B1 = -[[Bq, Aq], [Aq, 0]].  CSR when any
+    coefficient is sparse; complex coefficients stay complex."""
     if sp.issparse(Aq) or sp.issparse(Bq) or sp.issparse(Cq):
         Aq, Bq, Cq = (m if sp.issparse(m) else sp.csr_matrix(m)
                       for m in (Aq, Bq, Cq))
@@ -136,7 +137,8 @@ def qep_linearization(Aq, Bq, Cq):
         A1 = sp.bmat([[-Cq, Z], [Z, Aq]], format="csr")
         B1 = (-sp.bmat([[Bq, Aq], [Aq, Z]], format="csr")).tocsr()
         return A1, B1
-    Aq, Bq, Cq = (np.asarray(m, dtype=float) for m in (Aq, Bq, Cq))
+    # The float zero block makes integer input float, as on the sparse path.
+    Aq, Bq, Cq = (np.asarray(m) for m in (Aq, Bq, Cq))
     n = Aq.shape[0]
     Z = np.zeros((n, n))
     A1 = np.block([[-Cq, Z], [Z, Aq]])

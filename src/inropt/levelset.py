@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyLevelSet
-from .kernels import (hermitian_eigvals, hermitian_split, is_pd,
-                      pencil_unit_eigs)
+from .errors import EmptyLevelSet, NonHermitianInput
+from .kernels import (HermitianOperator, hermitian_eigvals, hermitian_split,
+                      is_pd, pencil_unit_eigs)
 from .param import ParamHermitian, top_cluster
 from .results import MinResult, Status
 
@@ -82,9 +82,13 @@ def level_intervals(C: np.ndarray, alpha: float,
     takes it once; None takes it here.
     """
     C = np.asarray(C, dtype=complex)
+    if not np.isfinite(C).all():
+        raise NonHermitianInput("matrix has non-finite entries")
     if norm_c is None:
         norm_c = float(np.linalg.norm(C, 2))
-    P = ParamHermitian.trig(*hermitian_split(C))
+    # The split of C is Hermitian by construction; nothing to check.
+    P = ParamHermitian.trig(*(HermitianOperator(M, check=False)
+                              for M in hermitian_split(C)))
     tau = FILTER_TOL * max(1.0, norm_c)
     kept = []
     for t in pencil_unit_eigs(C, alpha, norm_c):

@@ -4,17 +4,16 @@ The objective lambda_max(A(w)) is bounded from below by concave quadratics
 q_k(w) = value_k + slope_k (w - w_k) + (gamma/2)(w - w_k)^2 with a shared
 curvature bound gamma <= 0.  The pointwise maximum of the supports is a
 certified under-estimator whose exact global minimum over the domain is
-tracked with an interval priority queue: between two adjacent support
-abscissae the model reduces to the max of the two bounding quadratics, so
-each gap carries a single candidate minimizer (a pairwise crossing or a gap
-endpoint).  Each iteration evaluates the objective at the model minimizer,
-inserts a new support there, and updates the certified lower bound.
+the least of its segment minima: between two adjacent support abscissae the
+model reduces to the max of the two bounding quadratics, so each gap carries
+a single candidate minimizer (a pairwise crossing or a gap endpoint).  Each
+iteration evaluates the objective at the model minimizer, inserts a new
+support there, and updates the certified lower bound.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -74,35 +73,34 @@ def _segment_min(s1: SupportPoint, s2: SupportPoint, lo, hi):
     return best
 
 
-class _Gap:
-    """One segment between adjacent support abscissae (or a domain edge)."""
+# The entry of a zero-width slot: it never wins against a real segment.
+_NO_SEGMENT = (math.inf, math.inf, None)
 
-    __slots__ = ("lo", "argmin", "value", "alive")
 
-    def __init__(self, lo, hi, left: Optional[SupportPoint],
-                 right: Optional[SupportPoint]):
-        self.lo, self.alive = lo, True
-        # An edge segment has one support, which bounds it alone.
-        self.argmin, self.value = _segment_min(left or right, right or left,
-                                               lo, hi)
+def _segment_entry(lo, hi, left: Optional[SupportPoint],
+                   right: Optional[SupportPoint]):
+    """(value, lo, argmin) of the model over one segment [lo, hi]."""
+    # An edge segment has one support, which bounds it alone.
+    argmin, value = _segment_min(left or right, right or left, lo, hi)
+    return value, lo, argmin
 
 
 class PiecewiseModel:
     """Max of quadratic supports with exact global minimization over [a, b].
 
-    ``_gaps`` runs parallel to ``supports`` plus one trailing slot: slot i is
-    the segment left of ``supports[i]`` and the last slot ends at b.  A
-    zero-width slot holds None, except the one segment of a one-point
-    domain.  The heap orders the live segments by their model minimum.
+    ``_mins`` runs parallel to ``supports`` plus one trailing slot: slot i
+    holds ``(value, lo, argmin)`` for the segment left of ``supports[i]``,
+    and the last slot's segment ends at b.  A zero-width slot holds
+    ``_NO_SEGMENT``, except the one segment of a one-point domain.  The
+    model minimum is the least entry; no two segments share ``lo``, so
+    equal values go to the leftmost segment.
     """
 
     def __init__(self, omega_range):
         self.a, self.b = float(omega_range[0]), float(omega_range[1])
         self.supports: list[SupportPoint] = []
         self._keys: list[float] = []
-        self._gaps: list[Optional[_Gap]] = [None]
-        self._heap: list = []
-        self._seq = itertools.count()
+        self._mins: list[tuple] = [_NO_SEGMENT]
 
     def near(self, w, others=None) -> bool:
         """Whether w duplicates a support abscissa (or one of ``others``)."""
@@ -138,29 +136,22 @@ class PiecewiseModel:
         idx = bisect.bisect_left(self._keys, s.omega)
         left = self.supports[idx - 1] if idx > 0 else None
         right = self.supports[idx] if idx < len(self.supports) else None
-        if self._gaps[idx] is not None:
-            self._gaps[idx].alive = False
         lo = left.omega if left is not None else self.a
         hi = right.omega if right is not None else self.b
-        split = [_Gap(lo, s.omega, left, s) if lo < s.omega else None,
-                 _Gap(s.omega, hi, s, right)
-                 if s.omega < hi or self.a == self.b else None]
-        self._gaps[idx:idx + 1] = split
+        self._mins[idx:idx + 1] = [
+            _segment_entry(lo, s.omega, left, s)
+            if lo < s.omega else _NO_SEGMENT,
+            _segment_entry(s.omega, hi, s, right)
+            if s.omega < hi or self.a == self.b else _NO_SEGMENT]
         self.supports.insert(idx, s)
         self._keys.insert(idx, s.omega)
-        for gap in split:
-            if gap is not None:
-                heapq.heappush(self._heap,
-                               (gap.value, gap.lo, next(self._seq), gap))
 
     def peek_min(self):
         """(argmin, value) of the model over the domain; model unchanged."""
-        while self._heap and not self._heap[0][3].alive:
-            heapq.heappop(self._heap)
-        if not self._heap:
+        value, _, argmin = min(self._mins)
+        if argmin is None:
             raise RuntimeError("model has no segments; insert a support first")
-        _, _, _, gap = self._heap[0]
-        return gap.argmin, gap.value
+        return argmin, value
 
     def __call__(self, w):
         """Model value max_k q_k(w) (vectorized; for diagnostics/tests)."""

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from inropt import gallery
+from inropt.definite import is_hyperbolic
 from inropt.errors import InvalidParams
 from inropt.kernels import HermitianOperator
 
@@ -64,6 +68,26 @@ class TestFixedFamilies:
         np.testing.assert_array_equal(B1[:4, :4], -Bq)
         np.testing.assert_array_equal(B1[:4, 4:], -Aq)
         np.testing.assert_array_equal(B1[4:, 4:], np.zeros((4, 4)))
+
+    def test_qep_linearization_keeps_complex_coefficients(self):
+        rng = np.random.default_rng(0)
+        n = 4
+        X, Y = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                for _ in range(2))
+        Aq = np.eye(n, dtype=complex)
+        Bq = X + X.conj().T + 10.0 * np.eye(n)
+        Cq = (Y + Y.conj().T) / 4.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            A1, B1 = gallery.qep_linearization(Aq, Bq, Cq)
+        A1s, B1s = gallery.qep_linearization(sp.csr_matrix(Aq), Bq, Cq)
+        assert A1.dtype == B1.dtype == np.complex128
+        np.testing.assert_array_equal(A1, A1s.toarray())
+        np.testing.assert_array_equal(B1, B1s.toarray())
+        _, dense = is_hyperbolic(Aq, Bq, Cq)
+        _, sparse = is_hyperbolic(sp.csr_matrix(Aq), Bq, Cq)
+        assert dense.f_star == pytest.approx(sparse.f_star, abs=1e-12)
+        assert dense.f_star == pytest.approx(-0.676738983008, abs=1e-11)
 
 
 class TestSymmetryAndDefiniteness:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from inropt import gallery
-from inropt.errors import EmptyLevelSet
+from inropt.errors import EmptyLevelSet, NonHermitianInput
+from inropt.kernels import HermitianOperator
 from inropt.levelset import level_intervals, levelset_minimize
 from inropt.results import Status
 
@@ -85,6 +86,11 @@ class TestLevelIntervals:
                 got = [(iv.lo, iv.hi) for iv in level_intervals(C, alpha)]
                 assert len(got) == len(ref)
                 np.testing.assert_allclose(got, ref, atol=1e-8)
+
+    def test_non_finite_input_is_rejected(self):
+        C = np.array([[1.0, np.nan], [0.0, 2.0]])
+        with pytest.raises(NonHermitianInput, match="non-finite"):
+            level_intervals(C, 1.5)
 
     def test_spurious_candidates_are_filtered(self, monkeypatch):
         # angles that are not crossings must not change the level set; above
@@ -215,6 +221,23 @@ class TestLevelsetMinimize:
         assert len(steps) >= 4
         for alpha, got in steps:
             assert got == level_intervals(C, alpha)
+        assert res.f_star == pytest.approx(0.8118872239262371, abs=1e-12)
+
+    def test_input_checked_once_per_solve(self, monkeypatch):
+        # the solve checks the split of C once; a level step's family is
+        # Hermitian by construction and is not checked again
+        checks = []
+        check = HermitianOperator._check_hermitian
+
+        def counting(self):
+            checks.append(self.dim)
+            return check(self)
+
+        monkeypatch.setattr(HermitianOperator, "_check_hermitian", counting)
+        A, B = gallery.cheng_higham7()
+        res, trace = levelset_minimize(A + 1j * B)
+        assert len(trace.estimates) >= 4
+        assert checks == [7, 7]
         assert res.f_star == pytest.approx(0.8118872239262371, abs=1e-12)
 
     def test_solve_calls_the_public_functions(self, monkeypatch):

@@ -95,6 +95,20 @@ class TestPiecewiseModel:
                     model.insert(SupportPoint(dup, 0.0, 0.0, gamma))
             assert len(model.supports) == 1
 
+    @pytest.mark.parametrize("order", [(3.0, 1.0), (1.0, 3.0)])
+    def test_equal_minima_go_to_the_leftmost_segment(self, order):
+        # q1 = -(w-1)^2 and q3 = -(w-3)^2 on [0, 4]: the segments [0, 1],
+        # [1, 3] and [3, 4] are all least at -1 (at 0, 2 and 4), exactly;
+        # inserting 3 first makes [3, 4] the oldest of the three
+        model = PiecewiseModel((0.0, 4.0))
+        for w in order:
+            model.insert(SupportPoint(w, 0.0, 0.0, -2.0))
+        assert model.peek_min() == (0.0, -1.0)
+
+    def test_empty_model_has_no_minimum(self):
+        with pytest.raises(RuntimeError, match="no segments"):
+            PiecewiseModel((0.0, 1.0)).peek_min()
+
     def test_lower_bound_is_valid(self):
         gamma = -3.0
         model = PiecewiseModel((0.0, 2.0 * np.pi))
