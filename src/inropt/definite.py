@@ -75,9 +75,11 @@ def inner_numerical_radius(*, pair, method: str = "auto",
 
     ``pair`` is ``(A, B)``; for a matrix C pass ``hermitian_split(C)``.
     ``method`` is one of ``levelset`` (dense, level-set extraction),
-    ``support`` (piecewise-quadratic model), ``subspace`` (projection loop,
-    the only choice for large sparse pairs), or ``auto``.  ``support`` and
-    ``subspace`` take the curvature bound of :meth:`ParamHermitian.trig`.
+    ``support`` (piecewise model of sinusoid supports), ``subspace``
+    (projection loop, the only choice for large sparse pairs), or ``auto``.
+    ``support`` and the reduced solves of ``subspace`` bound the rotated
+    family by sinusoids u^* (A cos w + B sin w) u, so no curvature bound is
+    computed.
     """
     A, B = map(as_hermitian, pair)
     P = ParamHermitian.trig(A, B)
@@ -181,8 +183,11 @@ def nearest_definite_pair(A, B, delta: float, method: str = "auto",
     lam1 = dec.values[0]
     distance = max(delta + lam1, 0.0)
     if variant == "clip":
-        clip = np.minimum(-delta - dec.values, 0.0)
-        D = matmul(dec.vectors * clip[np.newaxis, :], dec.vectors.conj().T)
+        # Only the eigenvalues above -delta, a leading block of the
+        # descending values, have a nonzero clip.
+        r = int(np.count_nonzero(dec.values > -delta))
+        V = dec.vectors[:, :r]
+        D = matmul(V * (-delta - dec.values[:r])[np.newaxis, :], V.conj().T)
         D = (D + D.conj().T) / 2.0
     else:
         D = -distance * np.eye(len(dec.values))

@@ -1,8 +1,8 @@
 """One-parameter Hermitian families  A(w) = sum_j f_j(w) A_j.
 
 Provides evaluation, eigenvalue derivatives, one-sided derivative intervals
-at clustered eigenvalues, projection onto orthonormal bases, and the
-curvature bound used by the support-based optimizer.
+at clustered eigenvalues, projection onto orthonormal bases, and a
+curvature bound for quadratic supports of the rotated pair.
 """
 
 from __future__ import annotations

@@ -19,8 +19,7 @@ import numpy as np
 from .errors import ReducedSolveFailure
 from .kernels import (Basis, hermitian_eigvals, largest_eigpairs,
                       orthonormal_extend)
-from .param import EPS_CLUSTER_DEFAULT, ParamHermitian, default_gamma_trig, \
-    top_cluster
+from .param import EPS_CLUSTER_DEFAULT, ParamHermitian, top_cluster
 from .results import MinResult, Status
 from . import support as _support
 
@@ -59,17 +58,14 @@ def subspace_minimize(P: ParamHermitian,
     ``DEFAULT_START`` of the way along the domain.  Round k keeps the
     certified lower bound ``l_k`` and ``f_k = lambda_max(A(w_k))`` at the
     reduced minimizer, and converges once
-    ``f_k - l_k <= max(tol, 3 * noise) * max(1, |f_k|)``.  Returns
+    ``f_k - l_k <= max(tol, 3 * noise) * max(1, |f_k|)``.  The reduced
+    solves take ``gamma`` as :func:`support.eigopt_minimize` does: without
+    it a trigonometric family gets sinusoid supports.  Returns
     ``(MinResult, SubspaceState)``.
     """
     a, b = P.omega_range
     if omega1 is None:
         omega1 = a + DEFAULT_START * (b - a)
-    if gamma is None and P.is_trig:
-        gamma = default_gamma_trig(P.terms[0].matrix, P.terms[1].matrix)
-    # Reduced eigenvalues carry O(eps * spectral scale) rounding, which
-    # |gamma| tracks for the rotated pair; nothing below it is certified.
-    noise = 50.0 * np.finfo(float).eps * max(1.0, abs(gamma or 0.0))
 
     cluster = top_cluster(P, omega1, eps_cluster)
     basis = orthonormal_extend(Basis.empty(P.dim), cluster.vectors.T)
@@ -78,6 +74,12 @@ def subspace_minimize(P: ParamHermitian,
     status, note = Status.MAX_ITERATIONS, "iteration limit"
     lower, rows = -np.inf, []
     for k in range(1, max_iter + 1):
+        # Reduced eigenvalues carry O(eps * spectral scale) rounding, which
+        # the norms of the reduced terms track; nothing below it is
+        # certified.
+        scale = sum(np.abs(hermitian_eigvals(t.matrix)[[0, -1]]).max()
+                    for t in state.reduced.terms)
+        noise = 50.0 * np.finfo(float).eps * max(1.0, float(scale))
         res = _support.eigopt_minimize(
             state.reduced, gamma=gamma, tol=max(REDUCED_TOL, noise),
             max_iter=5000, omega0=cluster.omega)

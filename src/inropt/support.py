@@ -1,14 +1,20 @@
-"""Global minimization through piecewise-quadratic lower support functions.
+"""Global minimization through piecewise lower support functions.
 
-The objective lambda_max(A(w)) is bounded from below by concave quadratics
-q_k(w) = value_k + slope_k (w - w_k) + (gamma/2)(w - w_k)^2 with a shared
-curvature bound gamma <= 0.  The pointwise maximum of the supports is a
-certified under-estimator whose exact global minimum over the domain is
-the least of its segment minima: between two adjacent support abscissae the
-model reduces to the max of the two bounding quadratics, so each gap carries
-a single candidate minimizer (a pairwise crossing or a gap endpoint).  Each
-iteration evaluates the objective at the model minimizer, inserts a new
-support there, and updates the certified lower bound.
+The objective lambda_max(A(w)) is bounded from below by supports touching it
+at the evaluated points.  With a curvature bound gamma <= 0 they are the
+concave quadratics q_k(w) = value_k + slope_k (w - w_k) + (gamma/2)(w - w_k)^2.
+A trigonometric family A cos w + B sin w without a gamma takes sinusoids
+q_k(w) = value_k cos(w - w_k) + slope_k sin(w - w_k) instead: for the unit
+vector u behind the value and slope, q_k(w) = u^* A u cos w + u^* B u sin w =
+u^* A(w) u, which lies below lambda_max(A(w)) on the whole circle with no
+curvature constant.  Their maximum is the support function of a polygon
+inscribed in the field of values of A + iB (Johnson 1978).  The pointwise
+maximum of the supports is a certified under-estimator whose exact global
+minimum over the domain is the least of its segment minima: between two
+adjacent support abscissae the model reduces to the max of the two bounding
+supports, whose minimum has a few closed-form candidates.  Each iteration
+evaluates the objective at the model minimizer, inserts a new support there,
+and updates the certified lower bound.
 """
 
 from __future__ import annotations
@@ -22,8 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidGamma
-from .param import EPS_CLUSTER_DEFAULT, ParamHermitian, default_gamma_trig, \
-    top_cluster
+from .param import EPS_CLUSTER_DEFAULT, ParamHermitian, top_cluster
 from .results import MinResult, Status
 
 TOL_DEFAULT = 1e-12
@@ -35,39 +40,81 @@ PERTURB_REL = 1e-12
 
 @dataclass(frozen=True)
 class SupportPoint:
-    """One quadratic lower support: touch point, value, slope, curvature."""
+    """One lower support: touch point, value, slope, curvature.
+
+    ``gamma=None`` makes it the sinusoid value cos(w - omega) +
+    slope sin(w - omega); a number makes it the quadratic with that
+    curvature.
+    """
 
     omega: float
     value: float
     slope: float
-    gamma: float
+    gamma: Optional[float]
 
     def q(self, w):
         d = w - self.omega
+        if self.gamma is None:
+            return self.value * np.cos(d) + self.slope * np.sin(d)
         return self.value + self.slope * d + 0.5 * self.gamma * d * d
 
 
-def _segment_min(s1: SupportPoint, s2: SupportPoint, lo, hi):
-    """(argmin, value) of max(q1, q2) over [lo, hi] for a shared gamma.
+def _sinusoid(s: SupportPoint):
+    """``s.q`` on one float, through math."""
+    return lambda w: (s.value * math.cos(w - s.omega)
+                      + s.slope * math.sin(w - s.omega))
 
-    With equal curvature the difference of the quadratics is affine, so the
-    max switches branches at most once and the minimum of the concave (or
-    affine) pieces sits at lo, at hi, or at the crossing when it lies
-    strictly inside.
+
+def _inside(t, period, lo, hi):
+    """The points t + k*period strictly inside (lo, hi)."""
+    t = lo + (t - lo) % period
+    out = []
+    while t < hi:
+        if t > lo:
+            out.append(t)
+        t += period
+    return out
+
+
+def _segment_min(s1: SupportPoint, s2: SupportPoint, lo, hi):
+    """(argmin, value) of max(q1, q2) over [lo, hi], both of one kind.
+
+    Between two candidates the max is one support with no interior minimum,
+    so the least candidate value is the minimum; equal values go to the
+    leftmost candidate.  The candidates are lo, hi and the points strictly
+    inside where the supports cross or a sinusoid has its trough.
+    Quadratics with a shared gamma differ by an affine function, so they
+    cross at most once.  Relative to w1, sinusoid i is r_i cos(d - phi_i)
+    with phi_i = atan2(slope_i, value_i), so its trough lies at
+    phi_i + pi (mod 2*pi); the difference q1 - q2 is
+    (q1 - q2)(w1) cos d + (q1 - q2)'(w1) sin d, zero at psi + pi/2 + k*pi.
     """
-    g = s1.gamma
-    # q_i(w) = (g/2) w^2 + b_i w + c_i
-    db = (s1.slope - g * s1.omega) - (s2.slope - g * s2.omega)
-    dc = (s1.value - s1.slope * s1.omega + 0.5 * g * s1.omega ** 2) \
-        - (s2.value - s2.slope * s2.omega + 0.5 * g * s2.omega ** 2)
-    cands = [lo, hi]
-    if abs(db) > 1e-300:
-        cross = -dc / db
-        if lo < cross < hi:
-            cands.append(cross)
+    if s1.gamma is None:
+        q1, q2 = _sinusoid(s1), _sinusoid(s2)
+        d = s1.omega - s2.omega
+        dv = s1.value - q2(s1.omega)
+        ds = s1.slope - (s2.slope * math.cos(d) - s2.value * math.sin(d))
+        cands = [lo, hi]
+        for s in (s1, s2):
+            cands += _inside(s.omega + math.atan2(s.slope, s.value) + math.pi,
+                             2.0 * math.pi, lo, hi)
+        if dv != 0.0 or ds != 0.0:
+            cands += _inside(s1.omega + math.atan2(ds, dv) + 0.5 * math.pi,
+                             math.pi, lo, hi)
+    else:
+        q1, q2, g = s1.q, s2.q, s1.gamma
+        # q_i(w) = (g/2) w^2 + b_i w + c_i
+        db = (s1.slope - g * s1.omega) - (s2.slope - g * s2.omega)
+        dc = (s1.value - s1.slope * s1.omega + 0.5 * g * s1.omega ** 2) \
+            - (s2.value - s2.slope * s2.omega + 0.5 * g * s2.omega ** 2)
+        cands = [lo, hi]
+        if abs(db) > 1e-300:
+            cross = -dc / db
+            if lo < cross < hi:
+                cands.append(cross)
     best = None
     for w in cands:
-        val = max(s1.q(w), s2.q(w))
+        val = max(q1(w), q2(w))
         if best is None or val < best[1] or (val == best[1] and w < best[0]):
             best = (w, val)
     return best
@@ -86,7 +133,7 @@ def _segment_entry(lo, hi, left: Optional[SupportPoint],
 
 
 class PiecewiseModel:
-    """Max of quadratic supports with exact global minimization over [a, b].
+    """Max of lower supports with exact global minimization over [a, b].
 
     ``_mins`` runs parallel to ``supports`` plus one trailing slot: slot i
     holds ``(value, lo, argmin)`` for the segment left of ``supports[i]``,
@@ -165,14 +212,15 @@ def _run_support(eval_fn: Callable[[float], tuple], omega_range, gamma,
     """Run the support iteration; returns (MinResult, record of the best).
 
     ``eval_fn(w)`` returns ``(value, slope, record)``; the record of the
-    first strictly lowest value is handed back untouched.
+    first strictly lowest value is handed back untouched.  ``gamma=None``
+    builds sinusoid supports, a number quadratic ones.
     """
     a, b = float(omega_range[0]), float(omega_range[1])
     if omega0 is None:
         omega0 = 0.5 * (a + b)
     if not a <= omega0 <= b:
         raise ValueError("omega0 outside the domain")
-    if gamma is None or gamma > 0:
+    if gamma is not None and gamma > 0:
         raise InvalidGamma(f"curvature bound must be <= 0, got {gamma}")
 
     model = PiecewiseModel((a, b))
@@ -220,18 +268,15 @@ def eigopt_minimize(P: ParamHermitian, gamma: Optional[float] = None,
                     eps_cluster: float = EPS_CLUSTER_DEFAULT) -> MinResult:
     """Globally minimize lambda_max(A(w)) over the family's domain.
 
-    ``gamma`` must lower-bound the second derivative of the largest
-    eigenvalue wherever it is simple; for the rotated-pair family it
-    defaults to -(||A||_2 + ||B||_2).  The trigonometric case is seeded
-    with evaluations at the four quarter angles, which brackets the
-    minimizer early and keeps runs deterministic.
+    A ``gamma`` gives quadratic supports; it must lower-bound the second
+    derivative of the largest eigenvalue wherever it is simple.  A
+    trigonometric family without one gets sinusoid supports, which need no
+    curvature bound; any other family must pass it.  The trigonometric case
+    is seeded with evaluations at the four quarter angles, which brackets
+    the minimizer early and keeps runs deterministic.
     """
-    if gamma is None:
-        if not P.is_trig:
-            raise InvalidGamma(
-                "gamma is required for non-trigonometric families")
-        A, B = P.terms[0].matrix, P.terms[1].matrix
-        gamma = default_gamma_trig(A, B)
+    if gamma is None and not P.is_trig:
+        raise InvalidGamma("gamma is required for non-trigonometric families")
 
     def eval_fn(w):
         tc = top_cluster(P, w, eps_cluster)
@@ -252,8 +297,12 @@ def eigopt_minimize_callback(f_and_slope: Callable[[float], tuple],
     """Same contract as :func:`eigopt_minimize` with a callback objective.
 
     ``f_and_slope(w)`` returns ``(value, slope)``; the certified lower bound
-    machinery is identical.  No derivative-interval diagnostic is attached.
+    machinery is identical.  ``gamma`` is required: a callback has no
+    vector behind its slope, so its supports are quadratics.  No
+    derivative-interval diagnostic is attached.
     """
+    if gamma is None:
+        raise InvalidGamma("gamma is required for a callback objective")
     res, _ = _run_support(lambda w: (*f_and_slope(w), None), omega_range,
                           gamma, tol, max_iter, omega0)
     return res

@@ -124,6 +124,40 @@ def random_trig_pair(n, rng, real=False):
     return random_hermitian(n, rng, real), random_hermitian(n, rng, real)
 
 
+def crossing_pair(n, rng):
+    """Pair (A, B) of dimension n >= 2 whose lambda_max has its global
+    minimum -cos(alpha) at a built-in crossing t0.
+
+    Two eigenvalues are cos(t - t0 - pi + alpha) and cos(t - t0 - pi - alpha),
+    which cross at t0 with slopes -sin(alpha) and sin(alpha); their max is
+    least there.  The other n - 2 eigenvalues are those of
+    -P cos(t - t0) + K sin(t - t0) with lambda_min(P) > cos(alpha), which lie
+    below the crossing at t0.  A random unitary similarity hides the blocks.
+    Returns ``(A, B, t0, value)``.
+    """
+    t0 = float(rng.uniform(0.3, 2.0 * math.pi - 0.3))
+    alpha = float(rng.uniform(0.4, 1.1))
+    value = -math.cos(alpha)
+    m = n - 2
+    G = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    P = G @ G.conj().T / (2.0 * m) + (abs(value) + 0.2) * np.eye(m)
+    X = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    K = (X + X.conj().T) / (2.0 * math.sqrt(2.0 * m))
+    phis = np.array([t0 + math.pi - alpha, t0 + math.pi + alpha])
+    A = np.zeros((n, n), dtype=complex)
+    B = np.zeros((n, n), dtype=complex)
+    A[:2, :2] = np.diag(np.cos(phis))
+    B[:2, :2] = np.diag(np.sin(phis))
+    A[2:, 2:] = -math.cos(t0) * P - math.sin(t0) * K
+    B[2:, 2:] = -math.sin(t0) * P + math.cos(t0) * K
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Q, R = np.linalg.qr(Z)
+    Q = Q * (np.diag(R) / np.abs(np.diag(R)))[None, :]
+    A = Q.conj().T @ A @ Q
+    B = Q.conj().T @ B @ Q
+    return (A + A.conj().T) / 2.0, (B + B.conj().T) / 2.0, t0, value
+
+
 def pencil_unit_angles_qz(C, alpha, tol_circle=1e-8):
     """Sorted angles in [0, 2*pi) of the near-unit-modulus generalized
     eigenvalues of the level pencil [[2*alpha*I, -C], [I, 0]] against

@@ -11,11 +11,13 @@ from inropt.definite import (crawford_number, eigenpair_backmap,
 from inropt.errors import (ConvergenceFailure, NotPositiveDefiniteMass,
                            VerificationFailure)
 from inropt.kernels import EigDecomposition
+from inropt.levelset import levelset_minimize
 from inropt.param import ParamHermitian
 from inropt.subspace import subspace_minimize
-from inropt.support import eigopt_minimize
+from inropt.support import PiecewiseModel, eigopt_minimize
 
-from oracles import grid_min_trig, random_hermitian, random_trig_pair
+from oracles import (crossing_pair, grid_min_trig, lam_max_trig,
+                     random_hermitian, random_trig_pair)
 
 TWO_PI = 2.0 * np.pi
 
@@ -130,6 +132,49 @@ class TestCrawfordNumber:
                 assert cr.is_definite == (oracle < 0)
 
 
+class TestBuiltInCrossings:
+    """Pairs whose minimum -cos(alpha) sits at a crossing t0 of two
+    eigenvalue branches, so the Clarke interval there is wide."""
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=20)
+    @given(n=st.integers(3, 12), seed=st.integers(0, 2**32 - 1))
+    def test_every_method_reaches_the_crossing(self, n, seed):
+        A, B, t0, value = crossing_pair(n, np.random.default_rng(seed))
+        P = ParamHermitian.trig(A, B)
+        gamma = -(np.linalg.norm(A, 2) + np.linalg.norm(B, 2))
+        sinusoids = []
+        insert = PiecewiseModel.insert
+
+        def recording(model, s):
+            if s.gamma is None:
+                sinusoids.append(s)
+            insert(model, s)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PiecewiseModel, "insert", recording)
+            results = {
+                "support": eigopt_minimize(P),
+                "support-quadratic": eigopt_minimize(P, gamma=gamma),
+                "subspace": subspace_minimize(P)[0],
+                "levelset": levelset_minimize(A + 1j * B)[0],
+            }
+        for name, res in results.items():
+            assert res.f_star == pytest.approx(value, abs=1e-8), name
+            d = abs(res.omega_star - t0) % TWO_PI
+            assert min(d, TWO_PI - d) <= 1e-8, name
+            assert all(ell <= value + 1e-12 for *_, ell in res.trace
+                       if np.isfinite(ell)), name
+            assert res.lower_bound <= value + 1e-12, name
+            assert res.clarke.contains_zero_strictly, name
+        # the reduced solves' sinusoids bound the full family too
+        assert sinusoids
+        grid = np.linspace(0.0, TWO_PI, 721)
+        fvals = lam_max_trig(A, B, grid)
+        for s in sinusoids:
+            assert np.all(s.q(grid) <= fvals + 1e-12)
+
+
 class TestNearestDefinitePair:
     def test_already_definite_distance_zero(self):
         rep = nearest_definite_pair(np.eye(3), np.zeros((3, 3)), delta=0.5)
@@ -195,6 +240,37 @@ class TestNearestDefinitePair:
         gam, definite, _ = crawford_number(A + rep.deltaA, B + rep.deltaB)
         assert definite
         assert gam == pytest.approx(1e-2, abs=1e-7)
+
+
+class TestClipProduct:
+    """The clip D = V diag(clip) V^* is built from the columns whose clip
+    is nonzero only."""
+
+    @pytest.mark.parametrize("pair, delta, method", [
+        (gallery.cheng_higham7(), 1e-8, "support"),
+        (gallery.grcar_pair(kernels.SUBSET_THRESHOLD), 1e-2, "subspace")],
+        ids=["cheng_higham7", "grcar_pair"])
+    def test_matches_the_all_column_product(self, pair, delta, method):
+        A, B = pair
+        rep = nearest_definite_pair(A, B, delta=delta, method=method)
+        c, s = np.cos(rep.theta_star), np.sin(rep.theta_star)
+        H = A * c + B * s
+        dec = kernels.hermitian_eig((H + H.conj().T) / 2.0)
+        clip = np.minimum(-delta - dec.values, 0.0)
+        assert 0 < np.count_nonzero(clip) < len(clip)
+        D = kernels.matmul(dec.vectors * clip[np.newaxis, :],
+                           dec.vectors.conj().T)
+        D = (D + D.conj().T) / 2.0
+        tol = 1e-14 * np.linalg.norm(D, 2)
+        assert np.max(np.abs(rep.deltaA - c * D)) <= tol
+        assert np.max(np.abs(rep.deltaB - s * D)) <= tol
+
+    def test_uniform_variant_is_a_multiple_of_the_identity(self):
+        A, B = gallery.cheng_higham7()
+        rep = nearest_definite_pair(A, B, delta=1e-8, variant="uniform")
+        D = -rep.distance * np.eye(7)
+        assert np.array_equal(rep.deltaA, np.cos(rep.theta_star) * D)
+        assert np.array_equal(rep.deltaB, np.sin(rep.theta_star) * D)
 
 
 class TestRepairNorms:

@@ -6,7 +6,7 @@ import pytest
 from inropt import gallery
 from inropt.errors import InvalidGamma
 from inropt.kernels import HermitianOperator
-from inropt.param import ParamHermitian, Term
+from inropt.param import ParamHermitian, Term, default_gamma_trig
 from inropt.results import Status
 from inropt.support import (DUPLICATE_REL, PERTURB_REL, PiecewiseModel,
                             SupportPoint, _segment_min, eigopt_minimize,
@@ -56,6 +56,73 @@ class TestTwoSupportIntersection:
         s2 = SupportPoint(1.0, 0.5 * g, g, g)
         # the concave model is least at an endpoint (the left one on a tie)
         assert _segment_min(s1, s2, -1.0, 1.0) == (-1.0, -1.0)
+
+
+class TestSinusoidSupports:
+    """Supports value cos(w - omega) + slope sin(w - omega) (gamma=None)."""
+
+    def test_segment_min_matches_a_grid(self):
+        # gaps up to the whole circle hold several troughs and crossings
+        rng = np.random.default_rng(19)
+        for width in (0.3, 1.0, 3.0, 4.0, 2.0 * np.pi):
+            for _ in range(20):
+                lo = float(rng.uniform(0.0, 2.0 * np.pi - width))
+                hi = lo + width
+                s1, s2 = (SupportPoint(float(w), *rng.standard_normal(2),
+                                       None) for w in (lo, hi))
+                w, v = _segment_min(s1, s2, lo, hi)
+                grid = np.linspace(lo, hi, 20001)
+                model = np.maximum(s1.q(grid), s2.q(grid))
+                assert lo <= w <= hi
+                assert v == pytest.approx(max(s1.q(w), s2.q(w)), abs=1e-14)
+                # no grid point lies below the attained value v
+                assert v <= model.min() + 1e-14
+
+    def test_rayleigh_quotient_identity(self):
+        # value and slope of any unit u give the sinusoid u^* H(w) u
+        rng = np.random.default_rng(4)
+        A, B = random_trig_pair(6, rng)
+        u = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        u /= np.linalg.norm(u)
+        a, b = np.real(u.conj() @ A @ u), np.real(u.conj() @ B @ u)
+        w0 = 1.1
+        s = SupportPoint(w0, a * math.cos(w0) + b * math.sin(w0),
+                         -a * math.sin(w0) + b * math.cos(w0), None)
+        grid = np.linspace(0.0, 2.0 * np.pi, 101)
+        np.testing.assert_allclose(s.q(grid), a * np.cos(grid)
+                                   + b * np.sin(grid), atol=1e-14)
+        assert np.all(s.q(grid) <= lam_max_trig(A, B, grid) + 1e-14)
+
+    @pytest.mark.parametrize("method", ["support", "subspace"])
+    def test_no_full_range_eigensolve(self, monkeypatch, method):
+        # the quadratic supports' curvature bound took two values-only
+        # solves of all n eigenvalues per solve; sinusoids need none
+        import sys
+        from inropt import kernels
+        from inropt.subspace import subspace_minimize
+        dense_eigh, calls = kernels._dense_eigh, []
+
+        def recording(M, k, vectors):
+            calls.append((M.shape[0], k))
+            return dense_eigh(M, k, vectors)
+
+        def forbidden(*args):
+            raise AssertionError("default_gamma_trig called")
+
+        monkeypatch.setattr(kernels, "_dense_eigh", recording)
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("inropt")
+                    and hasattr(mod, "default_gamma_trig")):
+                monkeypatch.setattr(mod, "default_gamma_trig", forbidden)
+        n = 300
+        P = ParamHermitian.trig(*gallery.grcar_pair(n))
+        if method == "support":
+            res = eigopt_minimize(P)
+        else:
+            res, _ = subspace_minimize(P)
+        assert res.status is Status.CONVERGED
+        assert any(dim == n for dim, _ in calls)
+        assert not [k for dim, k in calls if dim == n and k >= n]
 
 
 class TestPiecewiseModel:
@@ -264,6 +331,8 @@ class TestEigoptMinimize:
     @pytest.mark.parametrize("tol", [1e-12, 0.0])
     def test_clarke_reuses_the_best_evaluation(self, monkeypatch, tol):
         # tol=0 on the tridiagonal kink ends on the iterate-collision path
+        # with quadratic supports; sinusoid supports close the kink exactly
+        # (test_sinusoids_close_the_kink_exactly)
         import inropt.support as support
         from inropt.param import clarke_interval, top_cluster
         calls = []
@@ -274,12 +343,23 @@ class TestEigoptMinimize:
 
         monkeypatch.setattr(support, "top_cluster", counting)
         P = tridiag_family()
-        res = eigopt_minimize(P, tol=tol)
+        gamma = (default_gamma_trig(P.terms[0].matrix, P.terms[1].matrix)
+                 if tol == 0.0 else None)
+        res = eigopt_minimize(P, gamma=gamma, tol=tol)
         assert len(calls) == res.iterations
         assert res.omega_star in calls
         assert res.clarke == clarke_interval(P, res.omega_star)
         if tol == 0.0:
             assert res.note == "iterate collision at float resolution"
+
+    def test_sinusoids_close_the_kink_exactly(self):
+        # at tol=0 the sinusoid model's bound meets the best value at the
+        # tridiagonal kink, where quadratic supports end on a collision
+        res = eigopt_minimize(tridiag_family(), tol=0.0)
+        assert res.status is Status.CONVERGED and res.note == ""
+        assert res.lower_bound == res.f_star == pytest.approx(-1.0, abs=1e-14)
+        assert res.omega_star == pytest.approx(THETA_STAR_TRIDIAG, abs=1e-12)
+        assert res.clarke.contains_zero_strictly
 
 
 class TestCertificates:
