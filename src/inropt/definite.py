@@ -19,7 +19,7 @@ from .errors import (ConvergenceFailure, NotPositiveDefiniteMass,
                      VerificationFailure)
 from .gallery import qep_linearization
 from .kernels import (as_hermitian, below_dense_threshold, hermitian_eig,
-                      hermitian_eigvals, hermitian_split, is_pd, matmul)
+                      hermitian_eigvals, is_pd, matmul, stacked_norm)
 from .param import EPS_CLUSTER_DEFAULT, ParamHermitian
 from .results import MinResult
 from . import levelset as _levelset
@@ -161,53 +161,89 @@ def nearest_definite_pair(A, B, delta: float, method: str = "auto",
                           variant: str = "clip", **opts) -> DefiniteRepair:
     """Distance to a nearest definite pair with optimal perturbations.
 
-    The minimal perturbation follows from the spectral decomposition of the
-    rotated part at the minimizing angle: eigenvalue clipping
-    (``variant='clip'``) or the uniform shift ``-d*cos/sin(theta)*I``
-    (``variant='uniform'``).  The returned rotation angle psi makes
-    B_tilde positive definite with smallest eigenvalue max(delta, gamma).
-    All certificate checks run before returning; a Crawford solve that
-    stops short raises ConvergenceFailure.
+    The minimal perturbation ``(cos t, sin t) * D`` follows from the
+    eigenpairs of the rotated part H(t) at the minimizing angle t that lie
+    above ``-delta``, the only ones solved for: eigenvalue clipping
+    ``D = V diag(-delta - lambda) V^*`` (``variant='clip'``) or the uniform
+    shift ``D = -d*I`` (``variant='uniform'``).  The returned rotation
+    angle psi makes B_tilde positive definite with smallest eigenvalue
+    max(delta, gamma).  The certificates are r x r problems over those r
+    eigenvectors (the top one when r = 0) and one Cholesky:
+
+    - ``||[dA dB]||_2 = ||D||_2``, which for the clip is the largest
+      eigenvalue of ``W^* W`` with ``W = V diag(sqrt(delta + lambda))``,
+      must equal the distance; a V that is not orthonormal fails here;
+    - the compression ``V^* B_tilde V`` gives ``mu >= lambda_min(B_tilde)``,
+      a Cholesky of ``B_tilde - (mu - 1e-10*scale)*I`` proves
+      ``lambda_min(B_tilde) > mu - 1e-10*scale``, and mu, reported as
+      ``crawford_after``, must equal max(delta, gamma);
+    - ``A_tilde + i*B_tilde = e^{-i*psi}((A + dA) + i(B + dB))``, checked
+      one block of rows at a time;
+
+    with ``scale = max(1, ||[A B]||_2)``.  All checks run before returning;
+    a Crawford solve that stops short raises ConvergenceFailure.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if variant not in ("clip", "uniform"):
         raise ValueError("variant must be 'clip' or 'uniform'")
-    Ah = as_hermitian(A).dense
-    Bh = as_hermitian(B).dense
-    cr = _converged_crawford(Ah, Bh, method, opts)
+    A, B = as_hermitian(A), as_hermitian(B)
+    cr = _converged_crawford(A, B, method, opts)
+    Ah, Bh, n = A.dense, B.dense, A.dim
     theta = cr.witness.theta_star
-    # The A part of rotate_pair(Ah, Bh, theta), without its checks and B part.
-    H = Ah * np.cos(theta) + Bh * np.sin(theta)
-    dec = hermitian_eig((H + H.conj().T) / 2.0)
-    lam1 = dec.values[0]
-    distance = max(delta + lam1, 0.0)
+    c, s = np.cos(theta), np.sin(theta)
+    # Before the outputs exist, so that the Gram matrix does not stack on
+    # them.
+    scale = max(1.0, stacked_norm(Ah, Bh))
+    H = np.multiply(Ah, c, dtype=np.result_type(Ah, Bh, c))
+    H += Bh * s
+    H += H.conj().T
+    H *= 0.5
+    dec = hermitian_eig(as_hermitian(H, check=False), above=-delta)
+    del H
+    V, vals = dec.vectors, dec.values
+    distance = max(delta + vals[0], 0.0)
     if variant == "clip":
-        # Only the eigenvalues above -delta, a leading block of the
-        # descending values, have a nonzero clip.
-        r = int(np.count_nonzero(dec.values > -delta))
-        V = dec.vectors[:, :r]
-        D = matmul(V * (-delta - dec.values[:r])[np.newaxis, :], V.conj().T)
-        D = (D + D.conj().T) / 2.0
+        r = int(np.count_nonzero(vals > -delta))
+        Vr, clip = V[:, :r], -delta - vals[:r]
+        D = matmul(Vr * clip[np.newaxis, :], Vr.conj().T)
+        D += D.conj().T
+        D *= 0.5
+        # D = -W W^*, whose nonzero eigenvalues are those of -W^* W.
+        W = Vr * np.sqrt(-clip)[np.newaxis, :]
+        pert_norm = (float(hermitian_eigvals(matmul(W.conj().T, W))[0])
+                     if r else 0.0)
     else:
-        D = -distance * np.eye(len(dec.values))
-    dA = np.cos(theta) * D
-    dB = np.sin(theta) * D
+        D = -distance * np.eye(n)
+        pert_norm = distance  # ||-d*I||_2
+    dA = c * D
+    D *= s
+    dB = D
     psi = (theta + np.pi / 2.0) % TWO_PI
-    T = np.exp(-1j * psi) * ((Ah + dA) + 1j * (Bh + dB))
-    A_t, B_t = hermitian_split(T)
-    lam_min_Bt = float(hermitian_eigvals(B_t)[-1])
-
-    scale = max(1.0, _stacked_norm(Ah, Bh))
-    pert_norm = _stacked_norm(dA, dB) if distance > 0 else 0.0
+    cp, sn, rot = np.cos(psi), np.sin(psi), np.exp(-1j * psi)
+    A_t = np.empty((n, n), dtype=complex)
+    B_t = np.empty_like(A_t)
+    ident = 0.0
+    # By blocks of rows, so that A + dA and B + dB are never whole.
+    for i in range(0, n, 64):
+        rows = slice(i, i + 64)
+        Ap, Bp = Ah[rows] + dA[rows], Bh[rows] + dB[rows]
+        A_t[rows] = Ap * cp + Bp * sn
+        B_t[rows] = Bp * cp - Ap * sn
+        T = rot * (Ap + 1j * Bp)
+        ident = max(ident, float(np.max(np.abs(A_t[rows] + 1j * B_t[rows]
+                                               - T))))
+    mu = float(hermitian_eigvals(matmul(V.conj().T, matmul(B_t, V)))[-1])
+    shifted = B_t.copy()
+    shifted.flat[::n + 1] -= mu - 1e-10 * scale
+    floor_holds = is_pd(shifted, overwrite=True)
     target = max(delta, cr.gamma)
     checks = [
         ("perturbation norm equals the distance",
          abs(pert_norm - distance) <= 1e-8 * scale),
         ("B_tilde is positive definite at level max(delta, gamma)",
-         abs(lam_min_Bt - target) <= 1e-8 * scale and lam_min_Bt > 0.0),
-        ("rotation identity",
-         float(np.max(np.abs((A_t + 1j * B_t) - T))) <= 1e-12 * scale),
+         abs(mu - target) <= 1e-8 * scale and mu > 0.0 and floor_holds),
+        ("rotation identity", ident <= 1e-12 * scale),
     ]
     failed = [name for name, ok in checks if not ok]
     if failed:
@@ -215,15 +251,7 @@ def nearest_definite_pair(A, B, delta: float, method: str = "auto",
             "repair certificate failed: " + "; ".join(failed))
     return DefiniteRepair(distance=float(distance), deltaA=dA, deltaB=dB,
                           psi=float(psi), A_tilde=A_t, B_tilde=B_t,
-                          crawford_after=lam_min_Bt, theta_star=float(theta))
-
-
-def _stacked_norm(X, Y) -> float:
-    """``||[X Y]||_2`` of two dense n x n matrices, as the square root of the
-    largest eigenvalue of the n x n Gram matrix ``X X^* + Y Y^*``: no SVD of
-    the n x 2n block."""
-    G = matmul(X, X.conj().T) + matmul(Y, Y.conj().T)
-    return float(np.sqrt(max(hermitian_eigvals(G)[0], 0.0)))
+                          crawford_after=mu, theta_star=float(theta))
 
 
 def is_hyperbolic(Aq, Bq, Cq, method: str = "auto", **opts):

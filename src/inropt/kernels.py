@@ -8,10 +8,10 @@ extraction, unit-circle pencil eigenvalues, and orthonormal basis extension.
 Every dense Hermitian eigensolve of the package goes through one function,
 :func:`_dense_eigh`, and the dimension alone picks its library: numpy's
 below ``SUBSET_THRESHOLD``, and from there on scipy's LAPACK ?heevr/?syevr
-for the top eigenpairs only.  Dense products (:func:`matmul`) follow the
-same threshold, so that an evaluation loop keeps to one of the two OpenBLAS
-copies that numpy and scipy load.  The level-set pencil, which is not
-Hermitian, stays on numpy.
+for the top eigenpairs only.  Dense products (:func:`matmul`) and Cholesky
+tests (:func:`is_pd`) follow the same threshold, so that an evaluation loop
+keeps to one of the two OpenBLAS copies that numpy and scipy load.  The
+level-set pencil, which is not Hermitian, stays on numpy.
 On large sparse operators one loose Lanczos cycle moves a coarsely
 bracketed shift just above the largest eigenvalue, shift-invert Lanczos
 starts from two pairs, and an LDL^T inertia count certifies the size of the
@@ -37,8 +37,8 @@ from .errors import ConvergenceFailure, NonHermitianInput, SingularPencil
 # Below this dimension, iterative paths densify instead.
 DENSE_THRESHOLD = 1000
 # From this dimension on, dense storage solves for the top eigenpairs only,
-# through LAPACK ?heevr/?syevr, and every dense product and eigensolve at
-# that size runs on scipy's OpenBLAS as well: numpy loads another
+# through LAPACK ?heevr/?syevr, and every dense product, eigensolve and
+# Cholesky at that size runs on scipy's OpenBLAS as well: numpy loads another
 # copy, and alternating between the two thread pools costs more than the
 # subset saves.  Below it, the numpy work next to the evaluations (the
 # level-set pencil of a 140- or 200-dimensional pair) slowed by more than
@@ -159,14 +159,16 @@ def hermitian_split(C):
     return A, B
 
 
-def hermitian_eig(M) -> EigDecomposition:
-    """Full eigendecomposition of a dense Hermitian matrix.
+def hermitian_eig(M, above: Optional[float] = None) -> EigDecomposition:
+    """Eigendecomposition of a dense Hermitian matrix.
 
     Eigenvalues are returned in descending order, with orthonormal
-    eigenvector columns paired to them.
+    eigenvector columns paired to them: all n of them, or with ``above``
+    only those above that value, and at least the top one.
     """
     op = as_hermitian(M)
-    vals, vecs = _dense_eigh(op.dense, op.dim, vectors=True)
+    vals, vecs = _dense_eigh(op.dense, op.dim if above is None else 1,
+                             vectors=True, above=above)
     return EigDecomposition(values=vals, vectors=vecs)
 
 
@@ -176,17 +178,21 @@ def hermitian_eigvals(M) -> np.ndarray:
     return _dense_eigh(M, M.shape[0], vectors=False)[0]
 
 
-def _dense_eigh(M: np.ndarray, k: int, vectors: bool):
+def _dense_eigh(M: np.ndarray, k: int, vectors: bool,
+                above: Optional[float] = None):
     """The k largest eigenvalues of a dense Hermitian M, descending, with
-    their eigenvector columns (None when ``vectors`` is false).
+    their eigenvector columns (None when ``vectors`` is false).  With
+    ``above``, every eigenvalue above that value, and at least the top k.
 
     Every dense Hermitian eigensolve goes through here.  Below
-    ``SUBSET_THRESHOLD`` it is numpy's full ``eigh``/``eigvalsh``; from there
-    on scipy's LAPACK ?heevr/?syevr on the upper triangle, with its optimal
-    workspace, for the index range of the top k only.  A range that cuts
-    through a tie can come back short, with fewer than k pairs; the top k
-    of the full decomposition then replace them.  A LAPACK failure raises
-    ConvergenceFailure.
+    ``SUBSET_THRESHOLD`` it is numpy's full ``eigh``/``eigvalsh``, sliced;
+    from there on scipy's LAPACK ?heevr/?syevr on the upper triangle, with
+    its optimal workspace, for the index range of the top k only, or for
+    the value range above ``above``.  An index range that cuts through a
+    tie can come back short, with fewer than k pairs; the top k of the full
+    decomposition then replace them.  A value range with fewer than k
+    values is replaced by the index range of the top k.  A LAPACK failure
+    raises ConvergenceFailure.
     """
     n = M.shape[0]
     try:
@@ -194,15 +200,21 @@ def _dense_eigh(M: np.ndarray, k: int, vectors: bool):
             w, V = (np.linalg.eigh(M) if vectors
                     else (np.linalg.eigvalsh(M), None))
         else:
+            if above is not None:
+                subset = {"subset_by_value": (above, np.inf)}
+            else:
+                subset = {"subset_by_index":
+                          None if k >= n else (n - k, n - 1)}
             out = sla.eigh(np.asarray(M, dtype=np.result_type(M, np.float64)),
-                           lower=False, driver="evr",
-                           subset_by_index=None if k >= n else (n - k, n - 1),
+                           lower=False, driver="evr", **subset,
                            eigvals_only=not vectors, check_finite=False)
             w, V = out if vectors else (out, None)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
+    if above is not None:
+        k = max(k, int(np.count_nonzero(w > above)))
     if len(w) < k:
-        w, V = _dense_eigh(M, n, vectors)
+        w, V = _dense_eigh(M, n if above is None else k, vectors)
         return w[:k], (V[:, :k] if vectors else None)
     return w[::-1][:k].copy(), (V[:, ::-1][:, :k].copy() if vectors else None)
 
@@ -213,19 +225,28 @@ def _gemm(dtype: np.dtype):
     return sla.get_blas_funcs(("gemm",), dtype=dtype)[0]
 
 
-def is_pd(M) -> bool:
+def is_pd(M, overwrite: bool = False) -> bool:
     """Positive definiteness of a Hermitian matrix, dense or sparse.
 
-    Dense input takes Cholesky; sparse input takes the symmetric LDL^T
-    factorization of :func:`_ldl`.
+    Dense input takes Cholesky on its lower triangle, numpy's below
+    ``SUBSET_THRESHOLD`` and from there on scipy's LAPACK ?potrf, the
+    library of the eigensolves and products of that size; ``overwrite``
+    lets ?potrf factor a C-ordered M in place instead of in a copy.  Sparse
+    input takes the symmetric LDL^T factorization of :func:`_ldl`.
     """
     if sp.issparse(M):
         return _ldl(M) is not None
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    M = np.asarray(M)
+    if M.shape[0] < SUBSET_THRESHOLD:
+        try:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    # The upper triangle of M^T, which LAPACK sees in Fortran order, is M's
+    # lower triangle, conjugated: the same definiteness.
+    potrf, = sla.get_lapack_funcs(("potrf",), (M,))
+    return potrf(M.T, lower=False, clean=False, overwrite_a=overwrite)[1] == 0
 
 
 def _ldl_inertia(M):
@@ -567,6 +588,31 @@ def orthonormal_extend(V: Basis, W) -> Basis:
             return V
         X, floors = np.column_stack(accepted), kept_floors
     return Basis(n, np.hstack([Q, X]))
+
+
+def stacked_norm(X: np.ndarray, Y: np.ndarray) -> float:
+    """``||[X Y]||_2`` of two dense n x n matrices, as the square root of the
+    largest eigenvalue of the n x n Gram matrix ``X X^* + Y Y^*``: no SVD of
+    the n x 2n block.
+
+    From ``SUBSET_THRESHOLD`` on, BLAS ?herk/?syrk builds the upper triangle
+    of the conjugate ``conj(X X^*) + conj(Y Y^*)``, which has the same
+    eigenvalues, from the transposed views of X and Y, with no conjugate
+    copy; below it numpy's products build the whole matrix.
+    """
+    if X.shape[0] < SUBSET_THRESHOLD:
+        G = matmul(X, X.conj().T) + matmul(Y, Y.conj().T)
+    else:
+        dtype = np.result_type(X, Y, np.float64)
+        cplx = dtype.kind == "c"
+        rank_k, = sla.get_blas_funcs(("herk" if cplx else "syrk",),
+                                     dtype=dtype)
+        # z = Z^T and z^* z = conj(Z Z^*), with trans 'C' (2) or 'T' (1).
+        trans = 2 if cplx else 1
+        G = rank_k(1.0, np.asarray(X, dtype).T, trans=trans)
+        G = rank_k(1.0, np.asarray(Y, dtype).T, beta=1.0, c=G, trans=trans,
+                   overwrite_c=1)
+    return float(np.sqrt(max(_dense_eigh(G, 1, vectors=False)[0][0], 0.0)))
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -231,6 +231,18 @@ class TestNearestDefinitePair:
             nearest_definite_pair(A, B, delta=1e-8, method="support",
                                   max_iter=2)
 
+    def test_real_and_complex_inputs_mix(self):
+        # a real A and a complex B rotate into a complex H(theta*)
+        A, B = gallery.cheng_higham7()
+        rng = np.random.default_rng(4)
+        B = B + 1e-3j * np.triu(rng.standard_normal(B.shape), 1)
+        B = (B + B.conj().T) / 2.0
+        rep = nearest_definite_pair(A, B, delta=1e-2, method="support")
+        norm = np.linalg.norm(np.hstack([rep.deltaA, rep.deltaB]), 2)
+        assert norm == pytest.approx(rep.distance, abs=1e-10)
+        assert np.linalg.eigvalsh(rep.B_tilde)[0] \
+            == pytest.approx(1e-2, abs=1e-10)
+
     def test_uniform_variant(self):
         A, B = gallery.cheng_higham7()
         rep = nearest_definite_pair(A, B, delta=1e-2, method="support",
@@ -274,20 +286,22 @@ class TestClipProduct:
 
 
 class TestRepairNorms:
-    """nearest_definite_pair takes ||[X Y]||_2 from the n x n Gram matrix
-    X X^* + Y Y^* instead of an SVD of the n x 2n block."""
+    """The repair takes ||[A B]||_2 from the n x n Gram matrix A A^* + B B^*
+    instead of an SVD of the n x 2n block, and ||[dA dB]||_2 = ||D||_2 and
+    lambda_min(B_tilde) from r x r problems."""
 
     @pytest.mark.parametrize("n", [7, kernels.SUBSET_THRESHOLD])
     def test_gram_norm_matches_the_svd(self, n):
         rng = np.random.default_rng(n)
         X, Y = random_hermitian(n, rng), random_hermitian(n, rng)
         svd = np.linalg.norm(np.hstack([X, Y]), 2)
-        assert definite._stacked_norm(X, Y) == pytest.approx(svd, rel=1e-12)
+        assert kernels.stacked_norm(X, Y) == pytest.approx(svd, rel=1e-12)
         # a repair's perturbations have low rank
         rep = nearest_definite_pair(X, Y, delta=1e-2)
         svd = np.linalg.norm(np.hstack([rep.deltaA, rep.deltaB]), 2)
-        assert definite._stacked_norm(rep.deltaA, rep.deltaB) \
+        assert kernels.stacked_norm(rep.deltaA, rep.deltaB) \
             == pytest.approx(svd, rel=1e-12)
+        assert rep.distance == pytest.approx(svd, rel=1e-12)
 
     @pytest.mark.parametrize("pair, method", [
         (gallery.cheng_higham7(), "support"),
@@ -296,21 +310,123 @@ class TestRepairNorms:
                                                  monkeypatch):
         eig = definite.hermitian_eig
 
-        def doubled_clip(M):
+        def doubled_clip(M, **kwargs):
             # D = V diag(clip) V^* doubles when V is scaled by sqrt(2)
-            dec = eig(M)
+            dec = eig(M, **kwargs)
             return EigDecomposition(dec.values, dec.vectors * np.sqrt(2.0))
 
         monkeypatch.setattr(definite, "hermitian_eig", doubled_clip)
         with pytest.raises(VerificationFailure, match="perturbation norm"):
             nearest_definite_pair(*pair, delta=1e-2, method=method)
 
+    @pytest.mark.parametrize("pair, method", [
+        (gallery.cheng_higham7(), "support"),
+        (gallery.grcar_pair(kernels.SUBSET_THRESHOLD), "subspace")])
+    def test_high_floor_fails_the_cholesky(self, pair, method, monkeypatch):
+        # A compression that reads lambda_min(B_tilde) 1e-9 * scale too
+        # high passes the 1e-8 * scale comparisons, and only the Cholesky
+        # of B_tilde - (mu - 1e-10 * scale) I can reject it.
+        scale = max(1.0, np.linalg.norm(np.hstack(pair), 2))
+        eigvals = definite.hermitian_eigvals
+
+        def raised(M):
+            return eigvals(M) + 1e-9 * scale
+
+        nearest_definite_pair(*pair, delta=1e-2, method=method)
+        monkeypatch.setattr(definite, "hermitian_eigvals", raised)
+        with pytest.raises(VerificationFailure, match="B_tilde") as exc:
+            nearest_definite_pair(*pair, delta=1e-2, method=method)
+        assert "perturbation norm" not in str(exc.value)
+
+
+class TestRightSizedRepair:
+    """From SUBSET_THRESHOLD on, the repair solves for the eigenpairs of
+    H(theta*) above -delta only, and its temporaries stay few."""
+
+    def test_already_definite_at_the_subset_dimension(self):
+        # r = 0: no eigenvalue above -delta, so the top vector alone
+        # carries the B_tilde certificate.
+        n = kernels.SUBSET_THRESHOLD
+        rng = np.random.default_rng(3)
+        A = np.eye(n) + 0.01 * random_hermitian(n, rng)
+        B = 0.01 * random_hermitian(n, rng)
+        rep = nearest_definite_pair(A, B, delta=1e-2, method="subspace")
+        gamma = crawford_number(A, B, method="subspace").gamma
+        assert gamma > 1e-2
+        assert rep.distance == 0.0
+        assert not rep.deltaA.any() and not rep.deltaB.any()
+        scale = max(1.0, np.linalg.norm(np.hstack([A, B]), 2))
+        assert abs(rep.crawford_after - gamma) <= 1e-10 * scale
+        assert np.linalg.eigvalsh(rep.B_tilde)[0] \
+            == pytest.approx(gamma, abs=1e-10 * scale)
+
+    def test_never_asks_for_all_vectors(self, monkeypatch):
+        n = kernels.SUBSET_THRESHOLD
+        A, B = gallery.grcar_pair(n)
+        requests = []
+        eigh = sla.eigh
+
+        def recording(M, *args, subset_by_index=None, subset_by_value=None,
+                      eigvals_only=False, **kwargs):
+            requests.append((M.shape[0], subset_by_index, subset_by_value,
+                             eigvals_only))
+            return eigh(M, *args, subset_by_index=subset_by_index,
+                        subset_by_value=subset_by_value,
+                        eigvals_only=eigvals_only, **kwargs)
+
+        monkeypatch.setattr(sla, "eigh", recording)
+        nearest_definite_pair(A, B, delta=1e-2, method="subspace",
+                              omega0=0.45)
+        full = [r for r in requests if r[0] == n and not r[3]
+                and r[1] is None and r[2] is None]
+        assert full == []
+        assert [r[2] for r in requests if r[2] is not None] \
+            == [(-1e-2, np.inf)]
+
+    def test_peak_memory(self):
+        # Beyond the four n x n outputs, at most three n x n matrices are
+        # alive at once: two temporaries and the small pieces.
+        import tracemalloc
+
+        n = kernels.SUBSET_THRESHOLD
+        A, B = gallery.grcar_pair(n)
+        nearest_definite_pair(A, B, delta=1e-2, method="subspace",
+                              omega0=0.45)
+        tracemalloc.start()
+        try:
+            rep = nearest_definite_pair(A, B, delta=1e-2, method="subspace",
+                                        omega0=0.45)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(M.nbytes for M in (rep.deltaA, rep.deltaB,
+                                         rep.A_tilde, rep.B_tilde))
+        assert peak <= outputs + 3 * A.nbytes
+
+    @pytest.mark.parametrize("pair, method", [
+        (gallery.cheng_higham7(), "support"),
+        (gallery.grcar_pair(kernels.SUBSET_THRESHOLD), "subspace")],
+        ids=["cheng_higham7", "grcar_pair"])
+    def test_checks_each_input_once(self, pair, method, monkeypatch):
+        # Each Hermitian check allocates M - M^* and takes a norm.
+        checked = []
+        check = kernels.HermitianOperator._check_hermitian
+
+        def counting(op):
+            checked.append(op.dim)
+            return check(op)
+
+        monkeypatch.setattr(kernels.HermitianOperator, "_check_hermitian",
+                            counting)
+        nearest_definite_pair(*pair, delta=1e-2, method=method)
+        assert len(checked) == 2
+
 
 def forbid_numpy_solvers(monkeypatch, n_min):
-    """numpy's eigensolvers and SVD (also behind ``norm(X, 2)``) raise on a
-    matrix with a dimension of ``n_min`` or more."""
+    """numpy's eigensolvers, SVD (also behind ``norm(X, 2)``) and Cholesky
+    raise on a matrix with a dimension of ``n_min`` or more."""
     linalg = np.linalg._linalg
-    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "cholesky"):
         def guard(a, *args, _orig=getattr(linalg, name), _name=name, **kw):
             if max(np.shape(a)[-2:]) >= n_min:
                 raise AssertionError(f"numpy.linalg.{_name} on {np.shape(a)}")
@@ -351,15 +467,21 @@ class TestLibrarySplit:
         np.linalg.eigvalsh(np.eye(n - 1))
         with pytest.raises(AssertionError, match="svd"):
             np.linalg.norm(np.eye(n), 2)
+        with pytest.raises(AssertionError, match="cholesky"):
+            np.linalg.cholesky(np.eye(n))
 
     def test_small_pairs_do_not_touch_scipy_handles(self, monkeypatch):
         def no_handle(*args, **kwargs):
             raise AssertionError("scipy's library below SUBSET_THRESHOLD")
 
         monkeypatch.setattr(kernels, "_gemm", no_handle)
-        monkeypatch.setattr(sla, "eigh", no_handle)
-        res = eigopt_minimize(ParamHermitian.trig(*gallery.cheng_higham7()))
+        for name in ("eigh", "get_blas_funcs", "get_lapack_funcs"):
+            monkeypatch.setattr(sla, name, no_handle)
+        A, B = gallery.cheng_higham7()
+        res = eigopt_minimize(ParamHermitian.trig(A, B))
         assert res.f_star == pytest.approx(0.8118872239262367, abs=1e-9)
+        rep = nearest_definite_pair(A, B, delta=1e-2)
+        assert rep.distance == pytest.approx(res.f_star + 1e-2, abs=1e-9)
 
 
 class TestRotatePair:

@@ -523,6 +523,50 @@ class TestDenseSubsetPath:
                                    atol=1e-12)
         assert spectral_norm_ub(M) == pytest.approx(5.0, rel=1e-14)
 
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", [kernels.SUBSET_THRESHOLD - 1,
+                                   kernels.SUBSET_THRESHOLD])
+    def test_value_range_matches_numpy(self, n, complex_):
+        # The pairs above a value, and at least the top one: the value
+        # range of ?heevr from the threshold on, numpy's slice below it.
+        M = triple_top_dense(n, complex_)
+        w = np.linalg.eigvalsh(M)[::-1]
+        for above, size in ((4.9, 3), (0.0, np.count_nonzero(w > 0.0)),
+                            (5.5, 1)):
+            dec = hermitian_eig(M, above=above)
+            assert dec.vectors.shape == (n, size)
+            np.testing.assert_allclose(dec.values, w[:size], rtol=0,
+                                       atol=1e-12)
+            V = dec.vectors
+            assert np.abs(V.conj().T @ V - np.eye(size)).max() <= 1e-12
+            R = M @ V - V * dec.values[np.newaxis, :]
+            assert np.linalg.norm(R, axis=0).max() <= 1e-11
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", [kernels.SUBSET_THRESHOLD - 1,
+                                   kernels.SUBSET_THRESHOLD])
+    def test_stacked_norm_matches_the_svd(self, n, complex_):
+        rng = np.random.default_rng(n)
+        X, Y = (random_hermitian(n, rng, real=not complex_) for _ in "XY")
+        svd = np.linalg.norm(np.hstack([X, Y]), 2)
+        assert kernels.stacked_norm(X, Y) == pytest.approx(svd, rel=1e-12)
+        # a C-ordered and a Fortran-ordered block give the same Gram matrix
+        assert kernels.stacked_norm(X, np.asfortranarray(2.0 * Y)) \
+            == pytest.approx(np.linalg.norm(np.hstack([X, 2.0 * Y]), 2),
+                             rel=1e-12)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", [kernels.SUBSET_THRESHOLD - 1,
+                                   kernels.SUBSET_THRESHOLD])
+    def test_dense_pd_test_agrees_with_the_spectrum(self, n, complex_):
+        M = triple_top_dense(n, complex_)  # spectrum [-5, 5]
+        for shift, pd in ((5.0 + 1e-9, True), (5.0 - 1e-9, False)):
+            S = shift * np.eye(n) - M
+            before = S.copy()
+            assert is_pd(S) is pd
+            np.testing.assert_array_equal(S, before)
+            assert is_pd(S, overwrite=True) is pd
+
     @pytest.mark.parametrize("n", [kernels.SUBSET_THRESHOLD - 1,
                                    kernels.SUBSET_THRESHOLD])
     def test_lapack_failure_is_a_convergence_failure(self, n, monkeypatch):
