@@ -12,10 +12,10 @@ for the top eigenpairs only.  Dense products (:func:`matmul`) and Cholesky
 tests (:func:`is_pd`) follow the same threshold, so that an evaluation loop
 keeps to one of the two OpenBLAS copies that numpy and scipy load.  The
 level-set pencil, which is not Hermitian, stays on numpy.
-On large sparse operators one loose Lanczos cycle moves a coarsely
-bracketed shift just above the largest eigenvalue, shift-invert Lanczos
-starts from two pairs, and an LDL^T inertia count certifies the size of the
-cluster it returns.
+On large sparse operators LDL^T PD tests gallop a shift up from an
+estimate of the largest eigenvalue, a loose Lanczos cycle moves a distant
+shift closer, shift-invert Lanczos starts from two pairs, and an LDL^T
+inertia count certifies the size of the cluster it returns.
 
 All types are immutable after construction and safe to share across threads;
 every operation is a pure function of its inputs.
@@ -46,14 +46,14 @@ DENSE_THRESHOLD = 1000
 SUBSET_THRESHOLD = 256
 # Residual tolerance for accepted eigenpairs, relative to ||M||_2.
 EIG_RESIDUAL_TOL = 1e-10
-# The sparse path brackets lambda_max to COARSE_REL_WIDTH, relative to
-# ||M||_1, and keeps that certified shift unless the refinement beats it.
-COARSE_REL_WIDTH = 1e-2
-# A loose Lanczos cycle at the bracketed shift estimates lambda_max from
-# below, to this relative tolerance on its Ritz value; the shift then moves
-# to the estimate plus REFINED_REL_GAP * ||M||_1 if that shift tests PD.
-REFINE_TOL = 1e-2
+# The sparse path tests the shift REFINED_REL_GAP * ||M||_1 above an
+# estimate of lambda_max from below, and multiplies that gap by SHIFT_GALLOP
+# on each failed PD test.  A shift that passes more than SHIFT_GALLOP times
+# the first gap above the estimate takes one loose Lanczos cycle, to this
+# relative tolerance on its Ritz value, for a closer estimate.
 REFINED_REL_GAP = 1e-5
+SHIFT_GALLOP = 10.0
+REFINE_TOL = 1e-2
 # Hermitian symmetry tolerance, relative to max(1, ||M||_F).
 HERMITIAN_TOL = 1e-12
 # orthonormal_extend drops a vector whose remainder is below this fraction
@@ -302,7 +302,7 @@ def largest_eigpairs(M, eps_cluster: float, max_pairs: int,
     its cluster are certified.  An infinite ``eps_cluster`` asks
     for the ``max_pairs`` largest pairs.  ``lower`` is a hint expected to
     lie at or below the largest eigenvalue, such as a Ritz value; the
-    sparse path seeds its shift bracket with it and the dense path ignores
+    sparse path starts its shift search from it and the dense path ignores
     it.  It is never trusted: a wrong hint changes only the cost.
     """
     if max_pairs < 1:
@@ -327,20 +327,23 @@ def _top_eigpairs_sparse(op: HermitianOperator, eps_cluster: float,
     The pairs returned hold the largest eigenvalue and its whole
     ``eps_cluster``-cluster, or at least ``max_pairs`` members of it.
 
-    1. Bracket: bisect sigma on PD tests of ``sigma*I - M`` between
-       ``max_i M_ii <= lambda_max`` and ``||M||_1 >= lambda_max`` down to a
-       width of ``COARSE_REL_WIDTH * ||M||_1``, keeping the factor at the
-       upper end, where ``sigma > lambda_max`` is certified.  A hint
-       ``lower`` above ``max_i M_ii`` first takes one PD test at
-       ``lower + width``: if it passes, that is sigma; if it fails, it
-       raises the lower end of the bisection.
-    2. Refine: Lanczos converges at a rate set by how close sigma sits
-       above lambda_max.  :func:`_refine_shift` runs one loose ``k = 1``
-       Lanczos cycle on ``(sigma*I - M)^{-1}``; its Ritz value estimates
-       lambda_max from below, and a shift ``REFINED_REL_GAP * ||M||_1``
-       above the estimate replaces sigma if it passes its PD test.  If it
-       fails, lies at or above sigma, or the cycle stops short, sigma stays:
-       it is certified, and its factor is already in hand.
+    1. Shift: Lanczos converges at a rate set by how close sigma sits above
+       lambda_max.  The estimate ``est`` starts at the larger of
+       ``max_i M_ii`` and the hint ``lower`` (capped at ``||M||_1``), both
+       at or below lambda_max when the hint is valid; the hint is never
+       trusted.  The shift
+       ``sigma = est + gap`` takes a PD test of ``sigma*I - M``, from
+       ``gap = REFINED_REL_GAP * ||M||_1``, and each failed test multiplies
+       the gap by ``SHIFT_GALLOP``.  A failed test past ``||M||_1`` raises
+       ConvergenceFailure.  A passed test certifies ``sigma > lambda_max``.
+    2. Refine: a sigma that passed with a gap above ``SHIFT_GALLOP`` times
+       the first takes one loose ``k = 1`` Lanczos cycle on
+       ``(sigma*I - M)^{-1}``.  Its Ritz value theta never exceeds the top
+       eigenvalue ``1/(sigma - lambda_max)``, so ``sigma - 1/theta`` is at
+       or below lambda_max; when it is above ``est`` it becomes ``est`` and
+       step 1 restarts from the first gap.  A cycle that stops short, or an
+       estimate no higher, keeps sigma: it is certified, and its factor is
+       the only one that outlives the search.
     3. Solve: Lanczos on ``(sigma*I - M)^{-1}`` for ``k = 2`` pairs, whose
        largest eigenvalues ``1/(sigma - lambda)`` belong to the largest
        eigenvalues of M and are well separated even when M's are clustered.
@@ -363,25 +366,38 @@ def _top_eigpairs_sparse(op: HermitianOperator, eps_cluster: float,
     n = op.dim
     eye = sp.identity(n, dtype=M.dtype, format="csr")
     norm1 = spectral_norm_ub(op)
-    scale = norm1 or 1.0  # the zero matrix still needs a positive width
-    width = COARSE_REL_WIDTH * scale
-    # Diagonal entries are Rayleigh quotients; hi is past ||M||_1.
-    lo, hi = float(M.diagonal().real.max()), norm1 + width
-    lu = None
-    if lower is not None and lo < lower and lower + width < hi:
-        lu = _ldl((lower + width) * eye - M)
-        if lu is None:
-            lo = lower + width
-        else:
-            hi = lower + width
-    if lu is None:
-        hi, lu = _bisect_shift(M, eye, lo, hi, width)
+    scale = norm1 or 1.0  # the zero matrix still needs a positive gap
+    start = REFINED_REL_GAP * scale
+    # Diagonal entries are Rayleigh quotients, at or below lambda_max; no
+    # valid hint lies above ||M||_1.
+    est, gap = float(M.diagonal().real.max()), start
+    if lower is not None:
+        est = max(est, min(lower, norm1))
     # A fixed start vector makes repeated calls return the same bits.
     v0 = np.random.default_rng(12345).standard_normal(n).astype(M.dtype)
-    refined = _refine_shift(M, eye, hi, lu, v0, scale)
-    if refined is not None:
-        lu = refined
-    inverse = spla.LinearOperator(M.shape, matvec=lu.solve, dtype=M.dtype)
+    while True:
+        sigma = est + gap
+        lu = _ldl(sigma * eye - M)
+        if lu is None:
+            if sigma > norm1:  # past every eigenvalue, yet no factor
+                raise ConvergenceFailure(
+                    f"no positive definite shift found up to {sigma:.17g}")
+            gap *= SHIFT_GALLOP
+            continue
+        inverse = spla.LinearOperator(M.shape, matvec=lu.solve, dtype=M.dtype)
+        if gap <= SHIFT_GALLOP * start:
+            break
+        try:
+            theta = spla.eigsh(inverse, k=1, which="LA", tol=REFINE_TOL,
+                               ncv=min(n, 20), v0=v0,
+                               return_eigenvectors=False)
+        except spla.ArpackNoConvergence:
+            break
+        # theta <= 1/(sigma - lambda_max), so the estimate <= lambda_max.
+        refined = sigma - 1.0 / np.real(theta).max()
+        if refined <= est:
+            break
+        est, gap = refined, start
     kmax = min(max_pairs + 1, n - 1)
     k = kmax if np.isinf(eps_cluster) else min(2, kmax)
     while True:
@@ -422,50 +438,6 @@ def _top_eigpairs_sparse(op: HermitianOperator, eps_cluster: float,
                     f"at or above {shift:.17g}, Lanczos found {found}")
             return vals, V
         k = min(kmax, max(k, count) + 1)
-
-
-def _bisect_shift(M, eye, lo, hi, width):
-    """Bisect ``(lo, hi]`` on PD tests of ``sigma*I - M`` down to ``width``.
-    Returns ``(hi, lu)`` with ``lu`` the factor of ``hi*I - M``; only that
-    factor outlives the bisection."""
-    lu = None
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        trial = _ldl(mid * eye - M)
-        if trial is None:
-            lo = mid
-        else:
-            hi, lu = mid, trial
-    if lu is None:
-        lu = _ldl(hi * eye - M)
-        if lu is None:
-            raise ConvergenceFailure(
-                f"no positive definite shift found above {lo:.17g}")
-    return hi, lu
-
-
-def _refine_shift(M, eye, sigma, lu, v0, scale):
-    """Factor of a shift just above a Ritz estimate of lambda_max, or None.
-
-    ``lu`` factors ``sigma*I - M`` with ``sigma > lambda_max`` certified.
-    One loose Lanczos cycle on ``(sigma*I - M)^{-1}`` gives a Ritz value
-    theta, which never exceeds the top eigenvalue ``1/(sigma - lambda_max)``,
-    so the estimate ``sigma - 1/theta <= lambda_max``.  The shift
-    ``REFINED_REL_GAP * scale`` above it takes one PD test: its factor is
-    returned when it passes, None when it fails, lies at or above sigma, or
-    the cycle stops short.
-    """
-    inverse = spla.LinearOperator(M.shape, matvec=lu.solve, dtype=M.dtype)
-    try:
-        theta = spla.eigsh(inverse, k=1, which="LA", tol=REFINE_TOL,
-                           ncv=min(M.shape[0], 20), v0=v0,
-                           return_eigenvectors=False)
-    except spla.ArpackNoConvergence:
-        return None
-    shift = sigma - 1.0 / np.real(theta).max() + REFINED_REL_GAP * scale
-    if shift >= sigma:
-        return None
-    return _ldl(shift * eye - M)
 
 
 def spectral_norm_ub(M) -> float:

@@ -66,8 +66,11 @@ class LevelSetTrace:
 
 
 def _below(H, level):
-    """lambda_max(H) < level: level*I - H is positive definite."""
-    return is_pd(level * np.eye(len(H)) - H)
+    """lambda_max(H) < level: level*I - H is positive definite.  The
+    shifted matrix is one copy of -H, factored in place."""
+    S = -H
+    S.flat[::len(S) + 1] += level
+    return is_pd(S, overwrite=True)
 
 
 def level_intervals(C: np.ndarray, alpha: float,

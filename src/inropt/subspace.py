@@ -91,7 +91,7 @@ def subspace_minimize(P: ParamHermitian,
                 f"(certified gap {gap:.3e})")
         state.trace.append((k, state.basis.size, res.omega_star, res.f_star))
         # By Cauchy interlacing the reduced value lies at or below the full
-        # lambda_max, so it seeds the shift bracket of the sparse solve.
+        # lambda_max, so the sparse solve starts its shift search there.
         cluster = top_cluster(P, res.omega_star, eps_cluster,
                               lower=res.f_star)
         lower = max(lower, res.lower_bound

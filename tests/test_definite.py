@@ -8,10 +8,10 @@ from inropt import definite, gallery, kernels
 from inropt.definite import (crawford_number, eigenpair_backmap,
                              inner_numerical_radius, is_hyperbolic,
                              nearest_definite_pair, rotate_pair, saddle_shift)
-from inropt.errors import (ConvergenceFailure, NotPositiveDefiniteMass,
-                           VerificationFailure)
+from inropt.errors import (ConvergenceFailure, EmptyLevelSet,
+                           NotPositiveDefiniteMass, VerificationFailure)
 from inropt.kernels import EigDecomposition
-from inropt.levelset import levelset_minimize
+from inropt.levelset import FILTER_TOL, level_intervals, levelset_minimize
 from inropt.param import ParamHermitian
 from inropt.subspace import subspace_minimize
 from inropt.support import PiecewiseModel, eigopt_minimize
@@ -173,6 +173,77 @@ class TestBuiltInCrossings:
         fvals = lam_max_trig(A, B, grid)
         for s in sinusoids:
             assert np.all(s.q(grid) <= fvals + 1e-12)
+
+
+def dense_gallery_pair(name):
+    if name == "cheng_higham7":
+        return gallery.cheng_higham7()
+    if name.startswith("grcar_pair"):
+        return gallery.grcar_pair(int(name.split("-")[1]))
+    if name == "tridiag_nonsmooth":
+        return gallery.hermitian_split(gallery.tridiag_nonsmooth(10))
+    A1, B1 = gallery.qep_linearization(*gallery.qep_mass_spring4())
+    return tuple(M.toarray() if sp.issparse(M) else M for M in (A1, B1))
+
+
+class TestLevelSetCrossCheck:
+    """Every dense certified lower bound, checked by the level-set method.
+
+    A level below lambda_max(A cos t + B sin t) at one angle lies below
+    its minimum exactly when no crossing exists, that is when
+    ``level_intervals`` raises EmptyLevelSet.  The margin of ten filter
+    bands keeps a crossing of another eigenvalue branch near the minimizer
+    out of the filter's band.  The pencil keeps crossings only within
+    CIRCLE_TOL of the unit circle, so this is backward-stable evidence
+    that the bound holds, not a proof.
+    """
+
+    @staticmethod
+    def assert_no_crossing_below(A, B):
+        C = A + 1j * B
+        P = ParamHermitian.trig(A, B)
+        margin = 10.0 * FILTER_TOL * max(1.0, np.linalg.norm(C, 2))
+        for res in (eigopt_minimize(P), subspace_minimize(P)[0]):
+            level = res.lower_bound - margin
+            assert res.f_star > level
+            with pytest.raises(EmptyLevelSet):
+                level_intervals(C, level)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=45)
+    @given(n=st.integers(3, 12), crossing=st.booleans(), real=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_and_crossing_pairs(self, n, crossing, real, seed):
+        rng = np.random.default_rng(seed)
+        if crossing:
+            A, B = crossing_pair(n, rng)[:2]
+        else:
+            A, B = random_trig_pair(n, rng, real=real)
+        self.assert_no_crossing_below(A, B)
+
+    @pytest.mark.parametrize("name", [
+        "cheng_higham7", "grcar_pair-100", "grcar_pair-200",
+        "tridiag_nonsmooth", "mass_spring4"])
+    def test_gallery_pairs(self, name):
+        self.assert_no_crossing_below(*dense_gallery_pair(name))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: inner_numerical_radius(
+        pair=(sp.identity(1000, format="csr"),) * 2, method="levelset"),
+     "requires dense input"),
+    (lambda: inner_numerical_radius(pair=(np.eye(2),) * 2, method="qz"),
+     "unknown method"),
+    (lambda: nearest_definite_pair(np.eye(2), np.eye(2), delta=0.0),
+     "delta must be positive"),
+    (lambda: nearest_definite_pair(np.eye(2), np.eye(2), delta=0.1,
+                                   variant="shift"), "variant"),
+    (lambda: saddle_shift(np.eye(5), 2, 2), "dimension n \\+ m"),
+], ids=["levelset-large-sparse", "unknown-method", "delta-not-positive",
+        "unknown-variant", "saddle-dimension"])
+def test_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestNearestDefinitePair:

@@ -58,18 +58,27 @@ def eigsh_recording_k(monkeypatch):
     return ks
 
 
-def refinements_recording(monkeypatch):
-    """Record, per call of the shift refinement, whether its shift passed
-    the PD test and replaced the bracketed one."""
-    refine, replaced = kernels._refine_shift, []
+def shift_search_recording(monkeypatch, M):
+    """Record, in call order, each sparse PD test of the kernels as
+    ``("pd", sigma, passed)`` for ``sigma*I - M``, and each values-only
+    Lanczos cycle of the shift search as ``("cycle",)``."""
+    ldl, eigsh, events = kernels._ldl, spla.eigsh, []
+    diag = M.diagonal().real
 
-    def recording(M, eye, sigma, lu, v0, scale):
-        out = refine(M, eye, sigma, lu, v0, scale)
-        replaced.append(out is not None)
-        return out
+    def pd_test(A):
+        lu = ldl(A)
+        events.append(("pd", float(A.diagonal().real[0] + diag[0]),
+                       lu is not None))
+        return lu
 
-    monkeypatch.setattr(kernels, "_refine_shift", recording)
-    return replaced
+    def cycle(A, k, **kw):
+        if not kw.get("return_eigenvectors", True):
+            events.append(("cycle",))
+        return eigsh(A, k=k, **kw)
+
+    monkeypatch.setattr(kernels, "_ldl", pd_test)
+    monkeypatch.setattr(spla, "eigsh", cycle)
+    return events
 
 
 def lam_max_H(C, theta):
@@ -207,74 +216,83 @@ class TestLargestEigpairs:
         assert np.linalg.svd(vecs, compute_uv=False)[-1] >= 0.5
         assert np.abs(vecs.conj().T @ vecs - np.eye(2)).max() <= 1e-12
 
-    @pytest.mark.parametrize("offset", [-2.0, 0.0, 0.015],
-                             ids=["far-below", "equal", "above"])
+    @pytest.mark.parametrize("offset", [-2.0, 0.0, 0.015, np.inf],
+                             ids=["far-below", "equal", "above", "infinite"])
     def test_bracket_hint_is_not_trusted(self, offset, monkeypatch):
         # 1024 x 1024 Laplacian, diagonal 4, ||P||_1 = 8, lambda_max 7.98:
-        # every hint plus the coarse width 8e-2 lies inside the bisection
-        # bracket (4, 8 + 8e-2)
+        # every hint lies above the diagonal, so the search starts there,
+        # or at ||P||_1 for a hint above it
         P = gallery.poisson2d(32)
         norm1 = spectral_norm_ub(P)
+        start = kernels.REFINED_REL_GAP * norm1
         top, _ = largest_eigpairs(P, eps_cluster=1e-6, max_pairs=3)
-        calls = []
-        ldl = kernels._ldl
-        monkeypatch.setattr(kernels, "_ldl",
-                            lambda M: calls.append(1) or ldl(M))
+        lower = min(top[0] + offset, norm1)
+        events = shift_search_recording(monkeypatch, P)
         vals, _ = largest_eigpairs(P, eps_cluster=1e-6, max_pairs=3,
                                    lower=top[0] + offset)
-        ldl_calls = len(calls)
         assert vals[0] == pytest.approx(top[0],
                                         abs=EIG_RESIDUAL_TOL * norm1)
+        assert events[0][:2] == ("pd", pytest.approx(lower + start))
+        if offset < 0.0:
+            # the failed tests gallop the gap up by SHIFT_GALLOP, and the
+            # distant shift that passes takes a cycle
+            fails = [e[1] for e in events[:events.index(("cycle",))]
+                     if not e[2]]
+            np.testing.assert_allclose(
+                np.subtract(fails, lower) / start,
+                kernels.SHIFT_GALLOP ** np.arange(len(fails)))
+            assert len(fails) > 1
+        else:
+            # one PD test gives sigma, one certifies the result; a high
+            # hint is a valid shift too, only a slower one
+            assert [e[0] for e in events] == ["pd", "pd"]
+            assert events[0][2] and events[1][2]
         cert = (vals[0] + EIG_RESIDUAL_TOL * norm1) * sp.identity(P.shape[0])
         assert is_pd((cert - P).tocsr())
-        if offset < 0.0:
-            # the failed test at the hint only raises the bisection's floor
-            assert ldl_calls > 3
-        else:
-            # one PD test closes the bracket, one tests the refined shift,
-            # one certifies the result; a high hint is a valid shift too,
-            # only a slower one
-            assert ldl_calls == 3
 
     def test_bracket_closer_than_the_refined_gap_stays(self, monkeypatch):
-        # a hint that puts sigma closer above lambda_max than a refined
-        # shift would sit keeps sigma, without a further PD test
+        # a hint within the first gap below lambda_max passes its one PD
+        # test, so no cycle runs
         P = gallery.poisson2d(32)
         norm1 = spectral_norm_ub(P)
+        start = kernels.REFINED_REL_GAP * norm1
         top, _ = largest_eigpairs(P, eps_cluster=1e-6, max_pairs=3)
-        lower = top[0] + (0.5 * kernels.REFINED_REL_GAP
-                          - kernels.COARSE_REL_WIDTH) * norm1
-        calls = []
-        ldl = kernels._ldl
-        monkeypatch.setattr(kernels, "_ldl",
-                            lambda M: calls.append(1) or ldl(M))
-        replaced = refinements_recording(monkeypatch)
+        events = shift_search_recording(monkeypatch, P)
         vals, _ = largest_eigpairs(P, eps_cluster=1e-6, max_pairs=3,
-                                   lower=lower)
-        assert replaced == [False] and len(calls) == 2
+                                   lower=top[0] - 0.5 * start)
+        assert events == [
+            ("pd", pytest.approx(top[0] + 0.5 * start), True),
+            ("pd", pytest.approx(vals[0] + EIG_RESIDUAL_TOL * norm1), True)]
         assert vals[0] == pytest.approx(top[0],
                                         abs=EIG_RESIDUAL_TOL * norm1)
 
     @pytest.mark.parametrize("matrix", ["poisson", "qep-band"])
-    def test_failed_refined_shift_keeps_the_coarse_shift(self, matrix,
-                                                         monkeypatch):
-        # a refined shift below the Ritz estimate lies below lambda_max, so
-        # its PD test fails; the coarse shift stays, no second bisection
-        # runs, and the result is the same, still certified
+    def test_failed_refined_shift_gallops_on(self, matrix, monkeypatch):
+        # a cycle whose estimate lies 5 first gaps below lambda_max: the
+        # shift one gap above it fails its PD test, and the gallop goes on
+        # to the shift ten gaps above it, which passes without a new cycle
         M = (gallery.poisson2d(32) if matrix == "poisson"
              else permuted_qep_matrix(0.52, 1.0, seed=2))
         norm1 = spectral_norm_ub(M)
+        start = kernels.REFINED_REL_GAP * norm1
         top, _ = largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
-        monkeypatch.setattr(kernels, "REFINED_REL_GAP", -1e-6)
-        replaced = refinements_recording(monkeypatch)
-        bisect, widths = kernels._bisect_shift, []
-        monkeypatch.setattr(
-            kernels, "_bisect_shift",
-            lambda M, eye, lo, hi, width:
-                widths.append(width) or bisect(M, eye, lo, hi, width))
+        events = shift_search_recording(monkeypatch, M)
+        recorded = spla.eigsh
+
+        def low_estimate(A, k, **kw):
+            out = recorded(A, k=k, **kw)
+            if kw.get("return_eigenvectors", True):
+                return out
+            sigma = [e[1] for e in events if e[0] == "pd" and e[2]][-1]
+            return np.array([1.0 / (sigma - (top[0] - 5.0 * start))])
+
+        monkeypatch.setattr(spla, "eigsh", low_estimate)
         vals, vecs = largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
-        assert replaced == [False]
-        assert widths == [kernels.COARSE_REL_WIDTH * norm1]
+        after = events[events.index(("cycle",)) + 1:]
+        assert after == [
+            ("pd", pytest.approx(top[0] - 4.0 * start), False),
+            ("pd", pytest.approx(top[0] + 5.0 * start), True),
+            ("pd", pytest.approx(vals[0] + EIG_RESIDUAL_TOL * norm1), True)]
         np.testing.assert_allclose(vals, top, rtol=0,
                                    atol=EIG_RESIDUAL_TOL * norm1)
         cert = (vals[0] + EIG_RESIDUAL_TOL * norm1) * sp.identity(M.shape[0])
@@ -285,9 +303,11 @@ class TestLargestEigpairs:
     @pytest.mark.parametrize("partial", [True, False],
                              ids=["partial-value", "no-value"])
     def test_refinement_cycle_cut_short(self, partial, monkeypatch):
-        # a refinement cycle that stops short keeps the bracketed shift,
-        # whether or not it hands back a partial Ritz value
+        # a cycle that stops short keeps the galloped shift, whether or not
+        # it hands back a partial Ritz value: the next PD test is the
+        # certificate of the result
         M = permuted_qep_matrix(0.52, 1.0, seed=2)
+        norm1 = spectral_norm_ub(M)
         top, _ = largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
         eigsh = spla.eigsh
 
@@ -298,10 +318,26 @@ class TestLargestEigpairs:
             raise spla.ArpackNoConvergence("cut short", values, None)
 
         monkeypatch.setattr(spla, "eigsh", cut_short)
-        replaced = refinements_recording(monkeypatch)
+        events = shift_search_recording(monkeypatch, M)
         vals, _ = largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
-        assert replaced == [False]
+        cycle = events.index(("cycle",))
+        assert events[cycle - 1][2]
+        assert events[cycle + 1:] == [
+            ("pd", pytest.approx(vals[0] + EIG_RESIDUAL_TOL * norm1), True)]
         np.testing.assert_allclose(vals, top, rtol=0, atol=1e-12)
+
+    def test_no_pd_shift_raises(self, monkeypatch):
+        # a PD test that never passes gallops past ||M||_1 and stops there
+        P = gallery.poisson2d(32)
+        norm1 = spectral_norm_ub(P)
+        shifts, diag = [], P.diagonal()[0]
+        monkeypatch.setattr(
+            kernels, "_ldl",
+            lambda A: shifts.append(A.diagonal()[0] + diag) or None)
+        with pytest.raises(ConvergenceFailure,
+                           match="no positive definite shift"):
+            largest_eigpairs(P, eps_cluster=1e-6, max_pairs=3)
+        assert shifts[-2] <= norm1 < shifts[-1]
 
     def test_refined_shift_cuts_inverse_applications(self, monkeypatch):
         # at omega = 1.0 the top eigenvalues form a band 2e-6 to 1e-5 apart;
@@ -852,8 +888,9 @@ class TestSpectralNormUb:
 
 def test_no_eigensolver_outside_kernels():
     # One function in kernels.py picks the library of every dense Hermitian
-    # eigensolve; a direct eigh/eigvalsh call elsewhere in the package
-    # would bypass it.
+    # eigensolve, and is_pd that of every positive-definiteness test; a
+    # direct eigensolver or factorization call elsewhere in the package
+    # would bypass them.
     import ast
     from pathlib import Path
 
@@ -867,6 +904,18 @@ def test_no_eigensolver_outside_kernels():
                 continue
             func = node.func
             name = getattr(func, "attr", getattr(func, "id", None))
-            if name in ("eigh", "eigvalsh"):
+            if name in ("eigh", "eigvalsh", "cholesky", "splu",
+                        "get_lapack_funcs"):
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: HermitianOperator(np.zeros(3)), "2-d"),
+    (lambda: HermitianOperator(np.zeros((2, 3))), "square matrix"),
+    (lambda: largest_eigpairs(np.eye(2), 1e-6, 0), "max_pairs"),
+    (lambda: pencil_unit_eigs(np.zeros((2, 3)), 0.0), "C must be square"),
+], ids=["not-2d", "not-square", "max-pairs-below-1", "pencil-not-square"])
+def test_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -5,6 +5,7 @@ from inropt import gallery
 from inropt.errors import EmptyLevelSet, NonHermitianInput
 from inropt.kernels import HermitianOperator
 from inropt.levelset import level_intervals, levelset_minimize
+from inropt.param import ParamHermitian
 from inropt.results import Status
 
 from oracles import (fit_order, lam_max_trig, pencil_unit_angles_qz,
@@ -108,6 +109,23 @@ class TestLevelIntervals:
         assert level_intervals(C, alpha) == clean
         with pytest.raises(EmptyLevelSet):
             level_intervals(C, 2.0 * np.linalg.norm(C, 2))
+
+    def test_below_takes_one_shifted_copy(self):
+        # the Cholesky trial factors one copy of -H, shifted on its
+        # diagonal, in place: no identity, no second n x n temporary
+        import tracemalloc
+        from inropt.levelset import _below
+        P = ParamHermitian.trig(*gallery.grcar_pair(300))
+        H = P.evaluate(1.0).dense
+        top = np.linalg.eigvalsh(H)[-1]
+        tracemalloc.start()
+        try:
+            below = _below(H, top + 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert below and not _below(H, top - 1e-6)
+        assert peak <= 1.1 * H.nbytes
 
 
 class TestLevelsetMinimize:

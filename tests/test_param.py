@@ -310,3 +310,22 @@ class TestAnalyticProperties:
         assert cs == 1
         assert slope == pytest.approx(ev.derivative, abs=1e-12)
         assert val == pytest.approx(ev.lambda_max, abs=1e-14)
+
+
+def identity_term(n):
+    return Term(np.cos, np.sin, HermitianOperator(np.eye(n)))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: ParamHermitian([], (0.0, 1.0)), "non-empty"),
+    (lambda: ParamHermitian([identity_term(2), identity_term(3)],
+                            (0.0, 1.0)), "mixed dimensions"),
+    (lambda: ParamHermitian([identity_term(2)], (1.0, 0.0)), "a <= b"),
+    (lambda: ParamHermitian.trig(np.eye(2), np.eye(3)), "same dimension"),
+    (lambda: ParamHermitian.trig(np.eye(2), np.eye(2)).project(
+        Basis.empty(3)), "basis dimension"),
+], ids=["no-terms", "mixed-dimensions", "reversed-domain",
+        "trig-dimensions", "project-basis"])
+def test_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
