@@ -183,8 +183,8 @@ def nearest_definite_pair(A, B, delta: float, method: str = "auto",
     with ``scale = max(1, ||[A B]||_2)``.  All checks run before returning;
     a Crawford solve that stops short raises ConvergenceFailure.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < np.inf:
+        raise ValueError("delta must be positive and finite")
     if variant not in ("clip", "uniform"):
         raise ValueError("variant must be 'clip' or 'uniform'")
     A, B = as_hermitian(A), as_hermitian(B)

@@ -18,8 +18,9 @@ class SingularPencil(InroptError):
 
 
 class EmptyLevelSet(InroptError):
-    """No level-set crossing survived filtering (level below the minimum,
-    or the filter tolerance is too tight)."""
+    """No sub-level gap: lambda_max reaches the level between every two
+    consecutive pencil angles, or the pencil returns no angle, as at a level
+    below the minimum or above the maximum."""
 
 
 class InvalidGamma(InroptError):

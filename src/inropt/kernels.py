@@ -461,9 +461,9 @@ def pencil_unit_eigs(C: np.ndarray, alpha: float,
     Builds ``R(alpha) = [[2*alpha*I, -C], [I, 0]]`` against
     ``S = diag(C^*, I)`` and returns ``arg(lambda)`` in [0, 2*pi), sorted,
     for every generalized eigenvalue with ``||lambda| - 1|`` below
-    ``CIRCLE_TOL * max(1, ||C||_2)``.  The angles are candidates only; the
-    caller must keep those where alpha is really the largest eigenvalue of
-    the rotated Hermitian part.  A well-conditioned ``C`` takes the standard
+    ``CIRCLE_TOL * max(1, ||C||_2)``.  They include the crossings of every
+    eigenvalue branch, not only of the largest; the caller classifies the
+    gaps between them.  A well-conditioned ``C`` takes the standard
     eigenproblem of ``S^{-1} R``, any other the QZ algorithm.  ``norm_c``
     is ``||C||_2`` when the caller has it, as a solve over several levels
     of one C does; None takes it here.

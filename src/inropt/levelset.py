@@ -2,11 +2,13 @@
 
 Starting from an upper estimate of the minimum, each iteration extracts the
 full level set of the current estimate through a structured 2n x 2n pencil,
-classifies the gaps between consecutive crossings as sub-level or not by a
-midpoint evaluation, and re-estimates at the midpoints of the maximal
-sub-level intervals.  The estimate sequence decreases monotonically to the
-global minimum; the longest sub-level interval at least halves per
-iteration.
+classifies each gap between consecutive pencil angles as sub-level or not by
+one Cholesky trial at its midpoint, and re-estimates at the midpoints of the
+maximal sub-level intervals.  The estimate sequence decreases monotonically
+to the global minimum; the longest sub-level interval at least halves per
+iteration.  A level set vanishes falsely only when the pencil misses a
+crossing outside CIRCLE_TOL, so a vanished one is backward-stable evidence
+of the minimum, not proof.
 """
 
 from __future__ import annotations
@@ -23,16 +25,14 @@ from .param import ParamHermitian, top_cluster
 from .results import MinResult, Status
 
 TWO_PI = 2.0 * np.pi
-# Crossings where lambda_max is farther than this from the level (relative to
-# max(1, ||C||_2)) are discarded.
-FILTER_TOL = 1e-7
 TOL_DEFAULT = 1e-12
 MAX_ITER_DEFAULT = 200
 # When every sub-level gap is shorter than this fraction of the circle the
 # level set has collapsed to the attainable minimum.
 COLLAPSE_TOL = 1e-14
 # A converged stop needs 0 within this distance of the final derivative
-# interval, relative to max(1, ||C||_2).
+# interval, relative to max(1, ||C||_2).  This catches a level set that
+# vanished because the pencil missed a crossing outside CIRCLE_TOL.
 STATIONARY_TOL = 1e-4
 
 
@@ -77,31 +77,21 @@ def level_intervals(C: np.ndarray, alpha: float,
                     norm_c: Optional[float] = None):
     """Maximal open intervals where lambda_max(H(theta)) < alpha.
 
-    Candidate crossings come from the level pencil; only angles where alpha
-    really is the largest eigenvalue survive.  Gaps between consecutive
-    surviving angles are classified by the sign of f(midpoint) - alpha and
-    merged into maximal circular intervals.  Both tests are Cholesky trials.
+    ``lambda_max(H(theta)) - alpha`` changes sign only where an eigenvalue
+    branch crosses alpha, at an angle the level pencil returns; another
+    branch's angle only splits a gap into halves of one sign.  So each gap
+    between consecutive angles takes one Cholesky trial at its midpoint,
+    and runs of sub-level gaps merge into maximal circular intervals.
     ``norm_c`` is ``||C||_2`` when the caller has it, so that one solve
-    takes it once; None takes it here.
+    takes it once; None lets the pencil take it.
     """
     C = np.asarray(C, dtype=complex)
     if not np.isfinite(C).all():
         raise NonHermitianInput("matrix has non-finite entries")
-    if norm_c is None:
-        norm_c = float(np.linalg.norm(C, 2))
     # The split of C is Hermitian by construction; nothing to check.
     P = ParamHermitian.trig(*(HermitianOperator(M, check=False)
                               for M in hermitian_split(C)))
-    tau = FILTER_TOL * max(1.0, norm_c)
-    kept = []
-    for t in pencil_unit_eigs(C, alpha, norm_c):
-        H = P.evaluate(t).dense
-        if _below(H, alpha + tau) and not _below(H, alpha - tau):
-            kept.append(t)
-    if not kept:
-        raise EmptyLevelSet(
-            f"no level crossings at {alpha!r} survived filtering")
-    ang = np.sort(np.asarray(kept))
+    ang = np.sort(pencil_unit_eigs(C, alpha, norm_c))
     m = len(ang)
     # circular gaps: (ang[i], ang[i+1]) and the wrap gap (ang[-1], ang[0]+2pi)
     sub = []
@@ -184,8 +174,8 @@ def levelset_minimize(C: np.ndarray, tol: float = TOL_DEFAULT,
         r = min(r, r_new)
 
     clarke = top_cluster(P, omega_star).clarke
-    # A level set also vanishes when the filter rejects every crossing; only
-    # a stop with 0 (nearly) in the derivative interval is a minimum.
+    # A level set also vanishes when the pencil misses a crossing; only a
+    # stop with 0 (nearly) in the derivative interval is a minimum.
     dist = max(0.0, clarke.lo, -clarke.hi)
     if status is Status.CONVERGED and dist > STATIONARY_TOL * max(1.0, norm_c):
         status = Status.MAX_ITERATIONS

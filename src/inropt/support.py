@@ -240,7 +240,7 @@ def _run_support(eval_fn: Callable[[float], tuple], omega_range, gamma,
         for w, val, slope, record in rows:
             if val < u:
                 u, best_omega, best = val, w, record
-            trace.append((len(trace), w, val, ell))
+            trace.append((len(trace) + 1, w, val, ell))
             model.insert(SupportPoint(w, val, slope, gamma))
         if k >= max_iter:
             break

@@ -60,6 +60,8 @@ class TestInr:
         assert code == 0
         A, B = gallery.cheng_higham7()
         assert out["trace"]
+        assert ([row["k"] for row in out["trace"]]
+                == list(range(1, len(out["trace"]) + 1)))
         for row in out["trace"]:
             assert set(row) == {"k", "omega", "value", "lower_bound"}
             assert isinstance(row["omega"], float)
@@ -255,6 +257,17 @@ class TestDistance:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: ")
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_is_a_usage_error(self, ch_files, tmp_path,
+                                               delta, capsys):
+        pa, pb = ch_files
+        code = main(["distance", "--pair", pa, pb, "--delta", delta,
+                     "--outdir", str(tmp_path / "rep")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: delta must be positive and finite\n"
         assert not (tmp_path / "rep").exists()
 
 

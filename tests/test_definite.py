@@ -11,7 +11,7 @@ from inropt.definite import (crawford_number, eigenpair_backmap,
 from inropt.errors import (ConvergenceFailure, EmptyLevelSet,
                            NotPositiveDefiniteMass, VerificationFailure)
 from inropt.kernels import EigDecomposition
-from inropt.levelset import FILTER_TOL, level_intervals, levelset_minimize
+from inropt.levelset import level_intervals, levelset_minimize
 from inropt.param import ParamHermitian
 from inropt.subspace import subspace_minimize
 from inropt.support import PiecewiseModel, eigopt_minimize
@@ -189,20 +189,19 @@ def dense_gallery_pair(name):
 class TestLevelSetCrossCheck:
     """Every dense certified lower bound, checked by the level-set method.
 
-    A level below lambda_max(A cos t + B sin t) at one angle lies below
-    its minimum exactly when no crossing exists, that is when
-    ``level_intervals`` raises EmptyLevelSet.  The margin of ten filter
-    bands keeps a crossing of another eigenvalue branch near the minimizer
-    out of the filter's band.  The pencil keeps crossings only within
-    CIRCLE_TOL of the unit circle, so this is backward-stable evidence
-    that the bound holds, not a proof.
+    A level lies below the minimum of lambda_max(A cos t + B sin t)
+    exactly when no gap between crossings of the level lies below it, that
+    is when ``level_intervals`` raises EmptyLevelSet.  The margin of
+    ``1e-10 * max(1, ||C||_2)`` leaves rounding room below the bound.  The
+    pencil keeps crossings only within CIRCLE_TOL of the unit circle, so
+    this is backward-stable evidence that the bound holds, not a proof.
     """
 
     @staticmethod
     def assert_no_crossing_below(A, B):
         C = A + 1j * B
         P = ParamHermitian.trig(A, B)
-        margin = 10.0 * FILTER_TOL * max(1.0, np.linalg.norm(C, 2))
+        margin = 1e-10 * max(1.0, np.linalg.norm(C, 2))
         for res in (eigopt_minimize(P), subspace_minimize(P)[0]):
             level = res.lower_bound - margin
             assert res.f_star > level
@@ -236,11 +235,15 @@ class TestLevelSetCrossCheck:
      "unknown method"),
     (lambda: nearest_definite_pair(np.eye(2), np.eye(2), delta=0.0),
      "delta must be positive"),
+    (lambda: nearest_definite_pair(np.eye(2), np.eye(2), delta=np.nan),
+     "delta must be positive and finite"),
+    (lambda: nearest_definite_pair(np.eye(2), np.eye(2), delta=np.inf),
+     "delta must be positive and finite"),
     (lambda: nearest_definite_pair(np.eye(2), np.eye(2), delta=0.1,
                                    variant="shift"), "variant"),
     (lambda: saddle_shift(np.eye(5), 2, 2), "dimension n \\+ m"),
 ], ids=["levelset-large-sparse", "unknown-method", "delta-not-positive",
-        "unknown-variant", "saddle-dimension"])
+        "delta-nan", "delta-inf", "unknown-variant", "saddle-dimension"])
 def test_input_checks(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inropt import gallery
 from inropt.errors import EmptyLevelSet, NonHermitianInput
@@ -7,9 +8,11 @@ from inropt.kernels import HermitianOperator
 from inropt.levelset import level_intervals, levelset_minimize
 from inropt.param import ParamHermitian
 from inropt.results import Status
+from inropt.support import eigopt_minimize
 
-from oracles import (fit_order, lam_max_trig, pencil_unit_angles_qz,
-                     random_hermitian, sublevel_arcs_eigvalsh)
+from oracles import (crossing_pair, fit_order, lam_max_trig,
+                     pencil_unit_angles_qz, random_hermitian, random_trig_pair,
+                     sublevel_arcs_eigvalsh)
 
 TWO_PI = 2.0 * np.pi
 
@@ -93,9 +96,10 @@ class TestLevelIntervals:
         with pytest.raises(NonHermitianInput, match="non-finite"):
             level_intervals(C, 1.5)
 
-    def test_spurious_candidates_are_filtered(self, monkeypatch):
-        # angles that are not crossings must not change the level set; above
-        # the maximum a kept one would turn it into the whole circle
+    def test_spurious_candidates_leave_the_level_set(self, monkeypatch):
+        # angles that are not crossings only split a gap into halves of the
+        # same sign: they do not change the level set, and below the
+        # certified minimum they do not make one appear
         import inropt.levelset as levelset
         rng = np.random.default_rng(43)
         C = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
@@ -107,8 +111,62 @@ class TestLevelIntervals:
                             lambda C, a, norm_c=None: np.sort(
                                 np.r_[pencil(C, a, norm_c), bogus]))
         assert level_intervals(C, alpha) == clean
+        lower = eigopt_minimize(ParamHermitian.trig(
+            *gallery.hermitian_split(C))).lower_bound
         with pytest.raises(EmptyLevelSet):
-            level_intervals(C, 2.0 * np.linalg.norm(C, 2))
+            level_intervals(C, lower - 1e-6)
+
+    def test_one_cholesky_trial_per_pencil_angle(self, monkeypatch):
+        # every gap between consecutive pencil angles takes one midpoint
+        # test, and nothing else does
+        import inropt.levelset as levelset
+        A, B = gallery.cheng_higham7()
+        angles, trials = [], []
+        pencil, below = levelset.pencil_unit_eigs, levelset._below
+
+        def recording(*args):
+            out = pencil(*args)
+            angles.extend(out)
+            return out
+
+        def counting(H, level):
+            trials.append(level)
+            return below(H, level)
+
+        monkeypatch.setattr(levelset, "pencil_unit_eigs", recording)
+        monkeypatch.setattr(levelset, "_below", counting)
+        alpha = float(np.linalg.eigvalsh(A)[-1])
+        assert level_intervals(A + 1j * B, alpha)
+        assert len(angles) >= 2
+        assert trials == [alpha] * len(angles)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=40)
+    @given(n=st.integers(2, 12), kind=st.sampled_from(
+        ["random", "real", "crossing"]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_eigvalsh_oracle(self, n, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "crossing":
+            A, B = crossing_pair(n, rng)[:2]
+        else:
+            A, B = random_trig_pair(n, rng, real=kind == "real")
+        C = A + 1j * B
+        f = f_of(C)
+        tol = 1e-7 * max(1.0, np.linalg.norm(C, 2))
+        grid = f(np.linspace(0.0, TWO_PI, 2001))
+        fmin, fmax = float(grid.min()), float(grid.max())
+        alphas = [float(f([rng.uniform(0.0, TWO_PI)])[0]),
+                  fmin + 1e-2 * (fmax - fmin), fmin + 1e-6 * (fmax - fmin)]
+        for alpha in alphas:
+            ref = sublevel_arcs_eigvalsh(
+                A, B, alpha, pencil_unit_angles_qz(C, alpha), tol)
+            if not ref:
+                with pytest.raises(EmptyLevelSet):
+                    level_intervals(C, alpha)
+                continue
+            got = [(iv.lo, iv.hi) for iv in level_intervals(C, alpha)]
+            assert len(got) == len(ref)
+            np.testing.assert_allclose(got, ref, atol=1e-8)
 
     def test_below_takes_one_shifted_copy(self):
         # the Cholesky trial factors one copy of -H, shifted on its
@@ -189,10 +247,16 @@ class TestLevelsetMinimize:
             assert l2 <= 0.5 * l1 * (1 + 1e-8) + 1e-14
 
     def test_false_stop_is_not_converged(self, monkeypatch):
-        # With FILTER_TOL below rounding every crossing is rejected and the
-        # level set "vanishes" far above the minimum 0.81189
+        # A pencil that misses every crossing after the first level step
+        # makes the level set "vanish" far above the minimum 0.81189
         import inropt.levelset as levelset
-        monkeypatch.setattr(levelset, "FILTER_TOL", 1e-16)
+        pencil, calls = levelset.pencil_unit_eigs, []
+
+        def missing(*args):
+            calls.append(1)
+            return pencil(*args) if len(calls) == 1 else np.empty(0)
+
+        monkeypatch.setattr(levelset, "pencil_unit_eigs", missing)
         A, B = gallery.cheng_higham7()
         res, _ = levelset_minimize(A + 1j * B)
         assert res.f_star > 0.82
