@@ -79,8 +79,15 @@ def inner_numerical_radius(*, pair, method: str = "auto",
     (projection loop, the only choice for large sparse pairs), or ``auto``.
     ``support`` and the reduced solves of ``subspace`` bound the rotated
     family by sinusoids u^* (A cos w + B sin w) u, so no curvature bound is
-    computed.
+    computed.  A NaN, negative or infinite ``tol``, a NaN or negative
+    ``eps_cluster`` or a negative ``max_iter`` raises ValueError.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    if not eps_cluster >= 0.0:
+        raise ValueError(f"eps_cluster must be >= 0, got {eps_cluster!r}")
+    if max_iter is not None and max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
     A, B = map(as_hermitian, pair)
     P = ParamHermitian.trig(A, B)
     n = A.dim

@@ -173,9 +173,10 @@ def levelset_minimize(C: np.ndarray, tol: float = TOL_DEFAULT,
             break
         r = min(r, r_new)
 
-    clarke = top_cluster(P, omega_star).clarke
     # A level set also vanishes when the pencil misses a crossing; only a
-    # stop with 0 (nearly) in the derivative interval is a minimum.
+    # stop with 0 (nearly) in the derivative interval is a minimum.  Dense
+    # input affords the whole cluster, whose cut would be a sub-interval.
+    clarke = top_cluster(P, omega_star, max_pairs=P.dim).clarke
     dist = max(0.0, clarke.lo, -clarke.hi)
     if status is Status.CONVERGED and dist > STATIONARY_TOL * max(1.0, norm_c):
         status = Status.MAX_ITERATIONS

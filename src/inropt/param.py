@@ -141,28 +141,27 @@ TIE_TOL = 1e-13
 
 @dataclass(frozen=True)
 class TopCluster:
-    """lambda_max(A(w)), its eigenvalue cluster U and derivative data.
+    """lambda_max(A(w)), its eigenvalue cluster U and derivative block.
 
     ``values`` are the eigenvalues within ``eps_cluster`` of the largest (at
-    most ``MAX_CLUSTER_DEFAULT``) and ``vectors`` the columns of U;
-    ``top_derivative`` is v^* A'(w) v for the top eigenvector v.
+    most ``max_pairs``) and ``vectors`` the columns of U.  ``derivative``
+    is the Hermitian p x p block U^* A'(w) U; its leading entry is the top
+    eigenvector's derivative and its eigenvalues the slopes of the
+    cluster's eigenvalue branches.
     """
 
     omega: float
     values: np.ndarray
     vectors: np.ndarray
-    dA: HermitianOperator
-    top_derivative: complex
+    derivative: np.ndarray
 
     @property
     def lambda_max(self) -> float:
         return float(self.values[0])
 
-    def _block_eigvals(self, m: int) -> np.ndarray:
-        """Descending eigenvalues of U^* A'(w) U over the first m columns."""
-        U = self.vectors[:, :m]
-        S = matmul(U.conj().T, self.dA.apply(U))
-        return hermitian_eigvals((S + S.conj().T) / 2.0)
+    @property
+    def top_derivative(self) -> float:
+        return float(self.derivative[0, 0].real)
 
     @property
     def slope(self) -> float:
@@ -171,29 +170,27 @@ class TopCluster:
         while m < len(self.values) and self.values[0] - self.values[m] <= tie:
             m += 1
         if m == 1:
-            return self.top_derivative.real
-        return float(self._block_eigvals(m)[0])
+            return self.top_derivative
+        return float(hermitian_eigvals(self.derivative[:m, :m])[0])
 
     @property
     def clarke(self) -> ClarkeInterval:
-        w = self._block_eigvals(len(self.values))
+        w = hermitian_eigvals(self.derivative)
         return ClarkeInterval(lo=float(w[-1]), hi=float(w[0]))
 
 
 def top_cluster(P: ParamHermitian, omega: float,
                 eps_cluster: float = EPS_CLUSTER_DEFAULT,
-                lower: Optional[float] = None) -> TopCluster:
-    """Evaluate A(w) and A'(w) once; extract the largest-eigenvalue cluster.
-
-    ``lower`` is the eigensolver's hint for a value at or below
-    lambda_max(A(w)) (see :func:`kernels.largest_eigpairs`).
+                lower: Optional[float] = None,
+                max_pairs: int = MAX_CLUSTER_DEFAULT) -> TopCluster:
+    """The largest-eigenvalue cluster U of A(w) with U^* A'(w) U, the one
+    use of A'(w), which is dropped once the block is formed.  ``lower`` and
+    ``max_pairs`` go to :func:`largest_eigpairs`.
     """
     vals, vecs = largest_eigpairs(P.evaluate(omega), eps_cluster,
-                                  MAX_CLUSTER_DEFAULT, lower)
-    dA = P.derivative_matrix(omega)
-    v = vecs[:, 0]
-    return TopCluster(float(omega), vals, vecs, dA,
-                      complex(matmul(v.conj(), dA.apply(v))))
+                                  max_pairs, lower)
+    S = matmul(vecs.conj().T, P.derivative_matrix(omega).apply(vecs))
+    return TopCluster(float(omega), vals, vecs, (S + S.conj().T) / 2.0)
 
 
 def eig_max_eval(P: ParamHermitian, omega: float) -> EigEval:
@@ -205,7 +202,7 @@ def eig_max_eval(P: ParamHermitian, omega: float) -> EigEval:
     """
     tc = top_cluster(P, omega)
     return EigEval(omega=tc.omega, lambda_max=tc.lambda_max,
-                   derivative=tc.top_derivative.real,
+                   derivative=tc.top_derivative,
                    cluster_size=len(tc.values))
 
 

@@ -22,7 +22,10 @@ class MinResult:
     are ``-inf`` for evaluations made before a model/certificate existed and
     are non-decreasing along the run.  ``f_star`` is the best certified
     function value and ``lower_bound`` the final certified lower bound
-    (``-inf`` for methods that do not produce one).
+    (``-inf`` for methods that do not produce one).  ``clarke`` is the
+    derivative interval at ``omega_star``; for ``support`` and ``subspace``
+    it spans at most ``MAX_CLUSTER_DEFAULT`` branches, a sub-interval of
+    the true one, so only a true ``contains_zero_strictly`` is conclusive.
     """
 
     omega_star: float

@@ -150,6 +150,47 @@ class TestInr:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("method", ["levelset", "support", "subspace"])
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--tol", "nan", "tol"), ("--tol", "-1", "tol"),
+        ("--tol", "inf", "tol"), ("--eps-cluster", "nan", "eps_cluster"),
+        ("--eps-cluster", "-1", "eps_cluster"),
+        ("--max-iter", "-3", "max_iter")])
+    def test_bad_solver_option_exit_code(self, ch_files, capsys, method,
+                                         flag, value, name):
+        # Rejected before any solve: a NaN or negative tol would run the
+        # support solver into an iterate collision, read as exit 2.
+        code = main(["inr", "--pair", *ch_files, "--method", method,
+                     flag, value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert name in err
+
+    @pytest.mark.parametrize("argv", [
+        ["definite", "--pair", "A", "B", "--tol", "nan"],
+        ["distance", "--pair", "A", "B", "--delta", "1e-8",
+         "--eps-cluster", "-1"],
+        ["hyperbolic", "--qep-mass-spring", "4", "--max-iter", "-1"],
+        ["saddle", "--synthetic", "4", "2", "--tol", "-1"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_solver_option_other_commands(self, ch_files, capsys, argv):
+        # The check sits in the entry that all five commands share.
+        files = dict(zip("AB", ch_files))
+        assert main([files.get(a, a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("method", ["levelset", "support", "subspace"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--tol", "0"), ("--eps-cluster", "0"), ("--eps-cluster", "inf"),
+        ("--max-iter", "0")])
+    def test_edge_solver_options_are_valid(self, ch_files, method, flag,
+                                           value):
+        code, _ = run_cli("inr", "--pair", *ch_files, "--method", method,
+                          flag, value)
+        assert code in (0, 2)
+
     def test_parse_error_exit_code(self, capsys):
         code = main(["inr", "--matrix", "/nonexistent/x.mtx"])
         assert code == 1

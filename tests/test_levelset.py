@@ -263,6 +263,19 @@ class TestLevelsetMinimize:
         assert res.status is Status.MAX_ITERATIONS
         assert "not a minimum" in res.note
 
+    def test_tie_of_the_whole_spectrum_is_a_minimum(self):
+        # The rotated Fiedler family F cos(t) vanishes at pi/2, where all 30
+        # eigenvalues tie at the minimum 0 and the derivative block is -F.
+        # Only the whole cluster's interval holds 0; ten of its vectors
+        # give a sub-interval that need not.
+        F = gallery.fiedler(30)
+        res, _ = levelset_minimize(F)
+        assert res.f_star == pytest.approx(0.0, abs=1e-10)
+        assert res.status is Status.CONVERGED, res.note
+        w = np.linalg.eigvalsh(-F)
+        assert res.clarke.lo == pytest.approx(w[0], rel=1e-10)
+        assert res.clarke.hi == pytest.approx(w[-1], rel=1e-10)
+
     def test_converged_stops_are_stationary(self):
         rng = np.random.default_rng(41)
         for n in (4, 9, 16):

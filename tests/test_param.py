@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,7 +8,8 @@ from inropt import gallery
 from inropt.errors import NonHermitianInput
 from inropt.kernels import Basis, hermitian_eig
 from inropt.param import (ParamHermitian, Term, clarke_interval,
-                          default_gamma_trig, eig_max_eval, support_slope)
+                          default_gamma_trig, eig_max_eval, support_slope,
+                          top_cluster)
 from inropt.kernels import HermitianOperator
 from inropt.subspace import subspace_minimize
 from inropt.support import eigopt_minimize
@@ -222,6 +225,47 @@ class TestClarkeInterval:
         assert ci.hi - ci.lo <= 1e-8
 
 
+RECORD_CASES = {
+    # name: (pair, angle, cluster size or None)
+    "grcar300": (lambda: gallery.grcar_pair(300), 0.9, None),
+    "tridiag-crossing": (tridiag_pair, THETA_STAR_TRIDIAG, 2),
+    "sparse-qep1000": (lambda: gallery.qep_linearization(
+        *gallery.qep_mass_spring(500, 0.524)), 1.9083, None),
+}
+
+
+def record_case(name):
+    pair, w, p = RECORD_CASES[name]
+    P = ParamHermitian.trig(*pair())
+    return P, w, p, top_cluster(P, w)
+
+
+@pytest.mark.parametrize("name", RECORD_CASES)
+class TestTopClusterRecord:
+    def test_derivative_is_the_cluster_block(self, name):
+        P, w, p, tc = record_case(name)
+        if p is not None:
+            assert len(tc.values) == p
+        D = P.derivative_matrix(w).dense
+        U = tc.vectors
+        S = U.conj().T @ D @ U
+        S = (S + S.conj().T) / 2.0
+        assert tc.derivative.shape == (len(tc.values),) * 2
+        np.testing.assert_array_equal(tc.derivative, tc.derivative.conj().T)
+        norm = np.abs(np.linalg.eigvalsh(D)).max()
+        assert np.abs(tc.derivative - S).max() <= 1e-14 * norm
+        assert tc.top_derivative == tc.derivative[0, 0].real
+
+    def test_no_field_outgrows_the_cluster(self, name):
+        # The record keeps U and p x p data, never an n x n matrix
+        P, _, _, tc = record_case(name)
+        bound = P.dim * len(tc.values)
+        for f in dataclasses.fields(tc):
+            value = getattr(tc, f.name)
+            assert isinstance(value, (float, np.ndarray)), f.name
+            assert np.size(value) <= bound, f.name
+
+
 class TestProject:
     def test_full_basis_identity(self):
         rng = np.random.default_rng(9)
@@ -329,3 +373,38 @@ def identity_term(n):
 def test_input_checks(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_derivative_matrix_only_in_top_cluster():
+    # The n x n A'(w) is built in one place, top_cluster, which keeps only
+    # U^* A'(w) U; a call elsewhere in the package would rebuild it.
+    import ast
+    from pathlib import Path
+
+    import inropt
+
+    class Calls(ast.NodeVisitor):
+        """(module, innermost function) of each derivative_matrix call."""
+
+        def __init__(self):
+            self.module, self.scope, self.found = None, ["<module>"], []
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Call(self, node):
+            func = node.func
+            if getattr(func, "attr", getattr(func, "id", None)) \
+                    == "derivative_matrix":
+                self.found.append((self.module, self.scope[-1]))
+            self.generic_visit(node)
+
+    calls = Calls()
+    for path in sorted(Path(inropt.__file__).parent.glob("*.py")):
+        calls.module = path.name
+        calls.visit(ast.parse(path.read_text()))
+    assert calls.found == [("param.py", "top_cluster")]
