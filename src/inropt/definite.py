@@ -21,7 +21,7 @@ from .gallery import qep_linearization
 from .kernels import (as_hermitian, below_dense_threshold, hermitian_eig,
                       hermitian_eigvals, is_pd, matmul, stacked_norm)
 from .param import EPS_CLUSTER_DEFAULT, ParamHermitian
-from .results import MinResult
+from .results import TOL_DEFAULT, MinResult, check_options
 from . import levelset as _levelset
 from . import subspace as _subspace
 from . import support as _support
@@ -67,7 +67,7 @@ class DefiniteRepair:
 
 
 def inner_numerical_radius(*, pair, method: str = "auto",
-                           tol: float = 1e-12,
+                           tol: float = TOL_DEFAULT,
                            eps_cluster: float = EPS_CLUSTER_DEFAULT,
                            max_iter: Optional[int] = None,
                            omega0: Optional[float] = None) -> InnerRadiusResult:
@@ -82,12 +82,7 @@ def inner_numerical_radius(*, pair, method: str = "auto",
     computed.  A NaN, negative or infinite ``tol``, a NaN or negative
     ``eps_cluster`` or a negative ``max_iter`` raises ValueError.
     """
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    if not eps_cluster >= 0.0:
-        raise ValueError(f"eps_cluster must be >= 0, got {eps_cluster!r}")
-    if max_iter is not None and max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
+    check_options(tol, max_iter, eps_cluster)
     A, B = map(as_hermitian, pair)
     P = ParamHermitian.trig(A, B)
     n = A.dim

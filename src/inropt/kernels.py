@@ -476,11 +476,7 @@ def pencil_unit_eigs(C: np.ndarray, alpha: float,
     n = C.shape[0]
     eye = np.eye(n)
     zero = np.zeros((n, n))
-
-    def on_circle(ev):
-        keep = np.abs(np.abs(ev) - 1.0) <= CIRCLE_TOL * max(1.0, norm_c)
-        return np.sort(np.mod(np.angle(ev[keep]), 2.0 * np.pi))
-
+    ev = None
     # S^{-1} R = [[2*alpha*C^{-*}, -C^{-*} C], [I, 0]]; the solve also gives
     # C^{-*} for the condition estimate.
     Ch = C.conj().T
@@ -489,36 +485,29 @@ def pencil_unit_eigs(C: np.ndarray, alpha: float,
         rcond = 1.0 / (np.linalg.norm(Ch, 1) * np.linalg.norm(Y[:, :n], 1))
         if rcond > PENCIL_RCOND_MIN:
             Y[:, :n] *= 2.0 * alpha
-            T = np.vstack([Y, np.hstack([eye, zero])])
-            return on_circle(np.linalg.eigvals(T))
+            ev = np.linalg.eigvals(np.vstack([Y, np.hstack([eye, zero])]))
     except np.linalg.LinAlgError:
         pass
-
-    def unit_angles(Cmat):
-        R = np.block([[2.0 * alpha * eye, -Cmat], [eye, zero]])
-        S = np.block([[Cmat.conj().T, zero], [zero, eye]])
-        ev = sla.eig(R, S, right=False)
-        ev = ev[np.isfinite(ev)]
-        if ev.size == 0:
-            return None
-        return on_circle(ev)
-
-    try:
-        angles = unit_angles(C)
-    except (sla.LinAlgError, ValueError):
-        angles = None
-    if angles is None:
-        # Singular pencil direction: nudge C off the singularity and retry
-        # once with a fixed unit-modulus rotation (keeps runs deterministic).
-        sigma = np.exp(0.7j)
-        pert = C + sigma * 1e-14 * max(norm_c, 1.0) * eye
-        try:
-            angles = unit_angles(pert)
-        except (sla.LinAlgError, ValueError):
-            angles = None
-        if angles is None:
-            raise SingularPencil("level pencil is singular; perturbation retry failed")
-    return angles
+    if ev is None:
+        # QZ on C; a singular pencil direction leaves no finite eigenvalue,
+        # so nudge C off the singularity and retry once with a fixed
+        # unit-modulus rotation (keeps runs deterministic).
+        nudge = np.exp(0.7j) * 1e-14 * max(norm_c, 1.0) * eye
+        for Cmat in (C, C + nudge):
+            R = np.block([[2.0 * alpha * eye, -Cmat], [eye, zero]])
+            S = np.block([[Cmat.conj().T, zero], [zero, eye]])
+            try:
+                ev = sla.eig(R, S, right=False)
+            except (sla.LinAlgError, ValueError):
+                continue
+            ev = ev[np.isfinite(ev)]
+            if ev.size:
+                break
+        else:
+            raise SingularPencil(
+                "level pencil is singular; perturbation retry failed")
+    keep = np.abs(np.abs(ev) - 1.0) <= CIRCLE_TOL * max(1.0, norm_c)
+    return np.sort(np.mod(np.angle(ev[keep]), 2.0 * np.pi))
 
 
 def orthonormal_extend(V: Basis, W) -> Basis:

@@ -22,10 +22,9 @@ from .errors import EmptyLevelSet, NonHermitianInput
 from .kernels import (HermitianOperator, hermitian_eigvals, hermitian_split,
                       is_pd, pencil_unit_eigs)
 from .param import ParamHermitian, top_cluster
-from .results import MinResult, Status
+from .results import TOL_DEFAULT, MinResult, Status, check_options
 
 TWO_PI = 2.0 * np.pi
-TOL_DEFAULT = 1e-12
 MAX_ITER_DEFAULT = 200
 # When every sub-level gap is shorter than this fraction of the circle the
 # level set has collapsed to the attainable minimum.
@@ -91,7 +90,7 @@ def level_intervals(C: np.ndarray, alpha: float,
     # The split of C is Hermitian by construction; nothing to check.
     P = ParamHermitian.trig(*(HermitianOperator(M, check=False)
                               for M in hermitian_split(C)))
-    ang = np.sort(pencil_unit_eigs(C, alpha, norm_c))
+    ang = pencil_unit_eigs(C, alpha, norm_c)  # sorted
     m = len(ang)
     # circular gaps: (ang[i], ang[i+1]) and the wrap gap (ang[-1], ang[0]+2pi)
     sub = []
@@ -133,6 +132,7 @@ def levelset_minimize(C: np.ndarray, tol: float = TOL_DEFAULT,
     decrease of the estimate below ``tol``, or on the level set vanishing or
     collapsing below angle resolution.
     """
+    check_options(tol, max_iter)
     C = np.asarray(C, dtype=complex)
     P = ParamHermitian.trig(*hermitian_split(C))
     norm_c = float(np.linalg.norm(C, 2))  # one SVD per solve

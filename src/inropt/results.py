@@ -3,10 +3,24 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .param import ClarkeInterval
+
+TOL_DEFAULT = 1e-12
+
+
+def check_options(tol, max_iter, eps_cluster=0.0):
+    """Raise ValueError for a NaN, negative or infinite ``tol``, a NaN or
+    negative ``eps_cluster`` or a negative ``max_iter``."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    if not eps_cluster >= 0.0:
+        raise ValueError(f"eps_cluster must be >= 0, got {eps_cluster!r}")
+    if max_iter is not None and max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
 
 
 class Status(enum.Enum):

@@ -20,12 +20,10 @@ from .errors import ReducedSolveFailure
 from .kernels import (Basis, hermitian_eigvals, largest_eigpairs,
                       orthonormal_extend)
 from .param import EPS_CLUSTER_DEFAULT, ParamHermitian, top_cluster
-from .results import MinResult, Status
+from .results import TOL_DEFAULT, MinResult, Status, check_options
 from . import support as _support
 
-TOL_DEFAULT = 1e-12
 MAX_ITER_DEFAULT = 100
-REDUCED_TOL = 1e-14
 # Default first sample, as a fraction of the domain (numpy default_rng(0)'s
 # first draw): fixed, so runs repeat; generic, so the first basis avoids
 # special angles such as the midpoint, where the rotated family is -A.
@@ -63,6 +61,7 @@ def subspace_minimize(P: ParamHermitian,
     it a trigonometric family gets sinusoid supports.  Returns
     ``(MinResult, SubspaceState)``.
     """
+    check_options(tol, max_iter, eps_cluster)
     a, b = P.omega_range
     if omega1 is None:
         omega1 = a + DEFAULT_START * (b - a)
@@ -81,7 +80,7 @@ def subspace_minimize(P: ParamHermitian,
                     for t in state.reduced.terms)
         noise = 50.0 * np.finfo(float).eps * max(1.0, float(scale))
         res = _support.eigopt_minimize(
-            state.reduced, gamma=gamma, tol=max(REDUCED_TOL, noise),
+            state.reduced, gamma=gamma, tol=noise,
             max_iter=5000, omega0=cluster.omega)
         gap = res.f_star - res.lower_bound
         if (res.status is not Status.CONVERGED

@@ -29,9 +29,8 @@ import numpy as np
 
 from .errors import InvalidGamma
 from .param import EPS_CLUSTER_DEFAULT, ParamHermitian, top_cluster
-from .results import MinResult, Status
+from .results import TOL_DEFAULT, MinResult, Status, check_options
 
-TOL_DEFAULT = 1e-12
 MAX_ITER_DEFAULT = 2000
 # Abscissae closer than this fraction of max(1, domain width) are duplicates.
 DUPLICATE_REL = 1e-14
@@ -275,6 +274,7 @@ def eigopt_minimize(P: ParamHermitian, gamma: Optional[float] = None,
     is seeded with evaluations at the four quarter angles, which brackets
     the minimizer early and keeps runs deterministic.
     """
+    check_options(tol, max_iter, eps_cluster)
     if gamma is None and not P.is_trig:
         raise InvalidGamma("gamma is required for non-trigonometric families")
 
@@ -301,6 +301,7 @@ def eigopt_minimize_callback(f_and_slope: Callable[[float], tuple],
     vector behind its slope, so its supports are quadratics.  No
     derivative-interval diagnostic is attached.
     """
+    check_options(tol, max_iter)
     if gamma is None:
         raise InvalidGamma("gamma is required for a callback objective")
     res, _ = _run_support(lambda w: (*f_and_slope(w), None), omega_range,

@@ -6,8 +6,9 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from inropt import gallery
+from inropt import cli, gallery
 from inropt.cli import main
+from inropt.errors import VerificationFailure
 from inropt.mmio import read_matrix, write_matrix
 
 
@@ -300,6 +301,20 @@ class TestDistance:
         assert captured.err.startswith("error: ")
         assert not (tmp_path / "rep").exists()
 
+    def test_verification_failure_exit_code(self, ch_files, tmp_path,
+                                            monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise VerificationFailure("repaired pair is not definite")
+
+        monkeypatch.setattr(cli, "nearest_definite_pair", failing)
+        code = main(["distance", "--pair", *ch_files, "--delta", "1e-8",
+                     "--outdir", str(tmp_path / "rep")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: repaired pair is not definite\n"
+        assert not (tmp_path / "rep").exists()
+
     @pytest.mark.parametrize("delta", ["nan", "inf"])
     def test_non_finite_delta_is_a_usage_error(self, ch_files, tmp_path,
                                                delta, capsys):
@@ -386,10 +401,23 @@ class TestHyperbolicSaddle:
                             "--seed", "0", "--method", "support")
         assert default == seeded
 
+    def test_saddle_matrix_matches_synthetic(self, tmp_path):
+        S, _ = gallery.synthetic_saddle(20, 8, 0)
+        path = tmp_path / "S.mtx"
+        write_matrix(path, S)
+        code, from_file = run_cli("saddle", "--matrix", str(path),
+                                  "--blocks", "20", "8", "--method", "support")
+        assert code == 0
+        _, synthetic = run_cli("saddle", "--synthetic", "20", "8",
+                               "--method", "support")
+        assert json.loads(from_file) == json.loads(synthetic)
+
     @pytest.mark.parametrize("argv", [
         ["--synthetic", "20", "8", "--blocks", "1", "1"],
         ["--matrix", "{S}", "--blocks", "20", "8", "--seed", "0"],
-    ], ids=["blocks-with-synthetic", "seed-with-matrix"])
+        ["--matrix", "{S}"],
+    ], ids=["blocks-with-synthetic", "seed-with-matrix",
+            "matrix-without-blocks"])
     def test_saddle_rejects_other_mode_flag(self, argv, tmp_path, capsys):
         S, _ = gallery.synthetic_saddle(20, 8, 0)
         path = tmp_path / "S.mtx"
@@ -427,10 +455,34 @@ class TestGallery:
         R = read_matrix(target)
         assert R.shape == (50, 50)
 
+    @pytest.mark.parametrize("argv", [
+        ["moler", "4"], ["grcar", "5"], ["grcar_pair", "6"],
+        ["qep_mass_spring", "4", "0.5"], ["qep_mass_spring4"],
+        ["qep_linearization", "4", "0.5"], ["poisson2d", "--param", "k=3"],
+        ["synthetic_saddle", "6", "--param", "m=2"],
+    ], ids=lambda argv: argv[0])
+    def test_every_family_writes_its_matrices(self, tmp_path, argv):
+        code, out = run_json("gallery", *argv, "-o", str(tmp_path / "g.mtx"))
+        assert code == 0
+        ref = gallery.generate(argv[0], **out["params"])
+        assert set(out["files"]) == set(ref)
+        for name, path in out["files"].items():
+            got, want = read_matrix(path), ref[name]
+            np.testing.assert_array_equal(
+                *(M.toarray() if hasattr(M, "toarray") else M
+                  for M in (got, want)))
+
 
 class TestFov:
     def read_rows(self, text):
         return list(csv.DictReader(io.StringIO(text)))
+
+    def test_too_few_samples(self, ch_files, capsys):
+        code = main(["fov", "--pair", *ch_files, "--samples", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: --samples must be >= 3\n"
 
     def test_scalar_all_points_at_one(self, tmp_path):
         p = tmp_path / "c.mtx"

@@ -718,6 +718,7 @@ class TestPencil:
             theta0 = rng.uniform(0.0, 2.0 * np.pi)
             alpha = lam_max_H(C, theta0)[-1]
             ang = pencil_unit_eigs(C, alpha)
+            assert np.all(np.diff(ang) >= 0.0)  # level_intervals relies on it
             self.check_sound_and_complete(C, theta0, ang)
             # same angles as QZ on the pencil itself
             ref = pencil_unit_angles_qz(C, alpha)
@@ -777,6 +778,45 @@ class TestPencil:
                             np.array([np.inf, np.nan, np.inf, np.nan]))
         with pytest.raises(SingularPencil):
             pencil_unit_eigs(np.zeros((2, 2)), 0.0)
+
+    @staticmethod
+    def singular_c():
+        rng = np.random.default_rng(13)
+        C = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        C[:, 1] = 0.0  # C^* is exactly singular: the QZ path
+        return C, lam_max_H(C, 1.0)[-1]
+
+    def test_qz_failure_retries_nudged(self, monkeypatch):
+        # a QZ that fails on C takes the same retry as a pencil without a
+        # finite eigenvalue; the nudge moves no crossing visibly
+        C, alpha = self.singular_c()
+        ref = pencil_unit_eigs(C, alpha)
+        qz, calls = sla.eig, []
+
+        def failing_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise sla.LinAlgError("QZ iteration failed")
+            return qz(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "eig", failing_once)
+        ang = pencil_unit_eigs(C, alpha)
+        assert len(calls) == 2
+        assert len(ang) == len(ref)
+        np.testing.assert_allclose(ang, ref, rtol=0, atol=1e-8)
+
+    def test_qz_failure_after_the_retry_raises(self, monkeypatch):
+        C, alpha = self.singular_c()
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            raise sla.LinAlgError("QZ iteration failed")
+
+        monkeypatch.setattr(sla, "eig", failing)
+        with pytest.raises(SingularPencil):
+            pencil_unit_eigs(C, alpha)
+        assert len(calls) == 2
 
 
 class TestOrthonormalExtend:

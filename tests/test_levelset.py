@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from inropt import gallery
 from inropt.errors import EmptyLevelSet, NonHermitianInput
 from inropt.kernels import HermitianOperator
-from inropt.levelset import level_intervals, levelset_minimize
+from inropt.levelset import (CircularInterval, level_intervals,
+                             levelset_minimize)
 from inropt.param import ParamHermitian
 from inropt.results import Status
 from inropt.support import eigopt_minimize
@@ -116,6 +117,16 @@ class TestLevelIntervals:
         with pytest.raises(EmptyLevelSet):
             level_intervals(C, lower - 1e-6)
 
+    def test_whole_circle_below_the_level(self, monkeypatch):
+        # one touch point and its one gap below the level: the level set is
+        # the whole circle, one wrapping interval from that point to itself
+        import inropt.levelset as levelset
+        monkeypatch.setattr(levelset, "pencil_unit_eigs",
+                            lambda C, a, norm_c=None: np.array([1.0]))
+        intervals = level_intervals(np.eye(3) + 0j, 2.0)
+        assert intervals == [CircularInterval(lo=1.0, hi=1.0, wraps=True)]
+        assert intervals[0].length == pytest.approx(TWO_PI, rel=1e-15)
+
     def test_one_cholesky_trial_per_pencil_angle(self, monkeypatch):
         # every gap between consecutive pencil angles takes one midpoint
         # test, and nothing else does
@@ -187,6 +198,15 @@ class TestLevelIntervals:
 
 
 class TestLevelsetMinimize:
+    @pytest.mark.parametrize("opts", [
+        {"tol": np.nan}, {"tol": -1.0}, {"tol": np.inf}, {"max_iter": -1}],
+        ids=lambda opts: "-".join(f"{k}={v}" for k, v in opts.items()))
+    def test_bad_option_raises(self, opts):
+        # a NaN tol stopped Converged after 5 estimates
+        A, B = gallery.cheng_higham7()
+        with pytest.raises(ValueError, match=f"^{next(iter(opts))} must be"):
+            levelset_minimize(A + 1j * B, **opts)
+
     def test_scalar_two_steps(self):
         res, trace = levelset_minimize(np.array([[1.0]]))
         assert trace.estimates[0] == pytest.approx(1.0)

@@ -17,6 +17,16 @@ def cheng_higham_family():
 
 
 class TestSubspaceMinimize:
+    @pytest.mark.parametrize("opts", [
+        {"tol": np.nan}, {"tol": -1.0}, {"tol": np.inf}, {"max_iter": -1},
+        {"eps_cluster": np.nan}, {"eps_cluster": -1.0}],
+        ids=lambda opts: "-".join(f"{k}={v}" for k, v in opts.items()))
+    def test_bad_option_raises(self, opts):
+        # a negative tol or a NaN eps_cluster reported Converged
+        P, _, _ = cheng_higham_family()
+        with pytest.raises(ValueError, match=f"^{next(iter(opts))} must be"):
+            subspace_minimize(P, **opts)
+
     def test_matches_dense_solver_on_cheng_higham(self):
         P, _, _ = cheng_higham_family()
         res, _ = subspace_minimize(P, omega1=0.45)

@@ -271,6 +271,34 @@ class TestCallbackSolver:
         assert res.f_star == pytest.approx(0.0, abs=1e-8)
 
 
+BAD_OPTIONS = [{"tol": np.nan}, {"tol": -1.0}, {"tol": np.inf},
+               {"max_iter": -1}]
+BAD_CLUSTER = [{"eps_cluster": np.nan}, {"eps_cluster": -1.0}]
+
+
+def option_id(opts):
+    return "-".join(f"{k}={v}" for k, v in opts.items())
+
+
+class TestSolverOptions:
+    # Checked before any evaluation: a NaN tol ran 34 evaluations into an
+    # iterate collision, a callback with a NaN tol 115.
+    @pytest.mark.parametrize("opts", BAD_OPTIONS + BAD_CLUSTER, ids=option_id)
+    def test_bad_option_raises(self, opts):
+        P = ParamHermitian.trig(*gallery.cheng_higham7())
+        with pytest.raises(ValueError, match=f"^{next(iter(opts))} must be"):
+            eigopt_minimize(P, **opts)
+
+    @pytest.mark.parametrize("opts", BAD_OPTIONS, ids=option_id)
+    def test_bad_callback_option_raises(self, opts):
+        def f(w):
+            raise AssertionError("evaluated with a bad option")
+
+        with pytest.raises(ValueError, match=f"^{next(iter(opts))} must be"):
+            eigopt_minimize_callback(f, (0.0, 2.0 * np.pi), gamma=-1.0,
+                                     **opts)
+
+
 class TestEigoptMinimize:
     def test_scalar_cosine_family(self):
         P = ParamHermitian.trig(np.eye(1), np.zeros((1, 1)))
