@@ -15,10 +15,15 @@ level-set pencil, which is not Hermitian, stays on numpy.
 On large sparse operators LDL^T PD tests gallop a shift up from an
 estimate of the largest eigenvalue, a loose Lanczos cycle moves a distant
 shift closer, shift-invert Lanczos starts from two pairs, and an LDL^T
-inertia count certifies the size of the cluster it returns.
+inertia count certifies the size of the cluster it returns.  Every one of
+these factorizations goes through one :class:`ShiftPlan`, the symbolic
+setup of the matrices on one sparse pattern: a sparse family keeps one for
+all of its evaluations, and a bare sparse matrix gets one per call.
 
-All types are immutable after construction and safe to share across threads;
-every operation is a pure function of its inputs.
+All types except :class:`ShiftPlan` are immutable after construction; a
+plan fills in its fill-reducing order once, on its first factorization, and
+two threads that race there write the same arrays.  All are safe to share
+across threads, and every operation is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -71,11 +76,15 @@ class HermitianOperator:
 
     ``raw`` is a dense ndarray or a CSR matrix, fixed at construction;
     whether the matrix is dense, its dense view and its products all follow
-    from it.
+    from it.  ``plan`` is the :class:`ShiftPlan` of a CSR ``raw`` stored on
+    its pattern, shared by every evaluation of one sparse family; None
+    lets a sparse eigensolve build one for its own call.
     """
 
-    def __init__(self, mat, check: bool = True):
+    def __init__(self, mat, check: bool = True,
+                 plan: Optional["ShiftPlan"] = None):
         self.raw = mat.tocsr() if sp.issparse(mat) else np.asarray(mat)
+        self.plan = plan
         if self.raw.ndim != 2:
             raise ValueError("expected a 2-d matrix")
         n, m = self.raw.shape
@@ -91,8 +100,10 @@ class HermitianOperator:
         if not np.isfinite(M if self.is_dense else M.data).all():
             raise NonHermitianInput("matrix has non-finite entries")
         dev = abs(M - M.conj().T).max()
-        norm = np.linalg.norm if self.is_dense else spla.norm
-        scale = max(1.0, float(norm(M)))
+        # The Frobenius norm in ufuncs: numpy's norm is a BLAS dot, whose
+        # threads then spin on into the next solve.
+        x = np.abs(M if self.is_dense else M.data)
+        scale = max(1.0, float(np.sqrt(np.sum(x * x))))
         if dev > HERMITIAN_TOL * scale:
             raise NonHermitianInput(
                 f"symmetry deviation {dev:.3e} exceeds {HERMITIAN_TOL:.0e} * {scale:.3e}"
@@ -232,10 +243,12 @@ def is_pd(M, overwrite: bool = False) -> bool:
     ``SUBSET_THRESHOLD`` and from there on scipy's LAPACK ?potrf, the
     library of the eigensolves and products of that size; ``overwrite``
     lets ?potrf factor a C-ordered M in place instead of in a copy.  Sparse
-    input takes the symmetric LDL^T factorization of :func:`_ldl`.
+    input takes the LDL^T of ``0*I - (-M)`` from a :class:`ShiftPlan` of
+    its own.
     """
     if sp.issparse(M):
-        return _ldl(M) is not None
+        plan, (data,) = shift_plan([M])
+        return plan.ldl(0.0, -data) is not None
     M = np.asarray(M)
     if M.shape[0] < SUBSET_THRESHOLD:
         try:
@@ -249,37 +262,118 @@ def is_pd(M, overwrite: bool = False) -> bool:
     return potrf(M.T, lower=False, clean=False, overwrite_a=overwrite)[1] == 0
 
 
-def _ldl_inertia(M):
-    """Symmetric LDL^T factor of a sparse Hermitian M and its inertia count.
+def shift_plan(mats):
+    """``(plan, data)`` for n x n matrices, sparse or dense: one
+    :class:`ShiftPlan` on a CSR pattern that holds the union of their
+    patterns and the whole diagonal, and each matrix's data array on that
+    pattern, in floating point, with an explicit zero wherever the matrix
+    has no entry.
 
-    The factorization uses a fill-reducing symmetric ordering and takes
-    every pivot from the diagonal, so it is M's LDL^T (U = D L^*) exactly
-    when no row was pivoted away from its column.  By Sylvester's law of
-    inertia the number of pivots that are not positive is then the number
-    of eigenvalues of M at or below 0.  Returns ``(lu, count)``, or None
-    when the factorization is singular or pivoted.
+    A linear combination of the matrices is then the same combination of
+    their data arrays, on the same pattern at every coefficient: there is
+    no sparse addition, and no exact cancellation can prune an entry.
     """
-    try:
-        lu = spla.splu(sp.csc_matrix(M), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError:  # exactly singular
-        return None
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None
-    return lu, int(np.count_nonzero(lu.U.diagonal().real <= 0.0))
+    n = mats[0].shape[0]
+    coos = [sp.coo_matrix(M) for M in mats]
+    diag = np.arange(n)
+    rows = np.concatenate([c.row for c in coos] + [diag]).astype(np.int64)
+    cols = np.concatenate([c.col for c in coos] + [diag])
+    # Row-major keys, sorted: the canonical CSR order.
+    keys, where = np.unique(rows * n + cols, return_inverse=True)
+    data, lo = [], 0
+    for c in coos:
+        d = np.zeros(len(keys), dtype=np.result_type(c.dtype, np.float64))
+        np.add.at(d, where[lo:lo + c.nnz], c.data)  # sums any duplicates
+        lo += c.nnz
+        data.append(d)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return ShiftPlan(sp.csr_matrix((data[0], keys % n, indptr),
+                                   shape=(n, n))), data
 
 
-def _ldl(M):
-    """SuperLU factor of a sparse Hermitian M when M is positive definite.
+class ShiftPlan:
+    """The symbolic setup shared by the sparse LDL^T factorizations of
+    ``sigma*I - M``, for every M stored on one CSR ``pattern`` that holds
+    the whole diagonal (see :func:`shift_plan`).
 
-    Positive definite means every pivot of :func:`_ldl_inertia` is
-    positive.  A singular or pivoted factorization returns None.
+    The first factorization takes SuperLU's fill-reducing ``MMD_AT_PLUS_A``
+    order of the pattern.  The plan then permutes the pattern by that order
+    once, into CSC, with a map that gathers M's data into it and the
+    positions of its diagonal.  Every later factorization gathers the data,
+    writes sigma into the diagonal in place and factors in the ``NATURAL``
+    order: the same order, not taken again.
     """
-    factor = _ldl_inertia(M)
-    if factor is not None and factor[1] == 0:
-        return factor[0]
-    return None
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self._layout = None  # _csc_layout in the order, once taken
+
+    def matrix(self, data) -> sp.csr_matrix:
+        """The CSR matrix with ``data`` on the plan's pattern."""
+        P = self.pattern
+        return P.__class__((data, P.indices, P.indptr), shape=P.shape)
+
+    def ldl(self, sigma: float, data, inertia: bool = False):
+        """LDL^T of ``sigma*I - M``, for M given by its ``data`` on the
+        plan's pattern.
+
+        Every pivot is taken from the diagonal, so the factor is
+        ``sigma*I - M``'s LDL^T (U = D L^*) exactly when no row was pivoted
+        away from its column.  By Sylvester's law of inertia the number of
+        pivots that are not positive is then the number of eigenvalues of M
+        at or above sigma.  Returns the factor's solve, ``b ->
+        (sigma*I - M)^{-1} b``, when every pivot is positive and None
+        otherwise; with ``inertia``, ``(solve, count)``, or None when the
+        factorization is singular or pivoted.  Every sparse factorization
+        of the package is made here.
+        """
+        order, back, gather, diag, indices, indptr = (
+            self._layout or _csc_layout(self.pattern, None))
+        a = -data[gather]
+        a[diag] += sigma
+        try:
+            # One column per panel: SuperLU's default panels took 1.3 to 2.4
+            # times as long on the QEP linearization and the 2-D Laplacian.
+            lu = spla.splu(sp.csc_matrix((a, indices, indptr),
+                                         shape=self.pattern.shape),
+                           permc_spec="MMD_AT_PLUS_A" if order is None
+                           else "NATURAL",
+                           diag_pivot_thresh=0.0, panel_size=1,
+                           options={"SymmetricMode": True})
+        except RuntimeError:  # exactly singular
+            return None
+        if order is None:
+            # Row and column i of M are row and column perm_c[i] of the
+            # factor.
+            self._layout = _csc_layout(self.pattern, np.argsort(lu.perm_c))
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            return None
+        count = int(np.count_nonzero(lu.U.diagonal().real <= 0.0))
+        solve = (lu.solve if order is None
+                 else lambda b: lu.solve(b[order])[back])
+        if inertia:
+            return solve, count
+        return solve if count == 0 else None
+
+
+def _csc_layout(pattern, order):
+    """``(order, back, gather, diag, indices, indptr)``: the CSR
+    ``pattern`` permuted symmetrically by ``order`` (None keeps it), in
+    CSC.  Entry j of the CSC data is entry ``gather[j]`` of the pattern's
+    data, the diagonal lies at the positions ``diag``, and ``back`` undoes
+    the order."""
+    n = pattern.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    cols = pattern.indices
+    back = None
+    if order is not None:
+        back = np.argsort(order)  # the new index of each row and column
+        rows, cols = back[rows], back[cols]
+    gather = np.lexsort((rows, cols))  # by column, then by row
+    indices = rows[gather]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+    return (order, back, gather, np.flatnonzero(indices == cols[gather]),
+            indices.astype(np.intc), indptr.astype(np.intc))
 
 
 def _residual_check(M, vals, vecs, norm_scale):
@@ -361,10 +455,18 @@ def _top_eigpairs_sparse(op: HermitianOperator, eps_cluster: float,
        ``max_pairs`` cluster values found, raises ConvergenceFailure, as
        does a pivoted count.  An infinite ``eps_cluster`` asks for ``kmax``
        pairs at once and takes no count.
+
+    Every PD test and count above is one :meth:`ShiftPlan.ldl`, on the plan
+    of the operator's family, or on one built for this call for a bare
+    matrix: the fill-reducing order is taken once per plan, and Lanczos
+    applies the factor through it.
     """
     M = op.raw
     n = op.dim
-    eye = sp.identity(n, dtype=M.dtype, format="csr")
+    if op.plan is not None:  # M is stored on its family's pattern
+        plan, data = op.plan, M.data
+    else:
+        plan, (data,) = shift_plan([M])
     norm1 = spectral_norm_ub(op)
     scale = norm1 or 1.0  # the zero matrix still needs a positive gap
     start = REFINED_REL_GAP * scale
@@ -377,14 +479,14 @@ def _top_eigpairs_sparse(op: HermitianOperator, eps_cluster: float,
     v0 = np.random.default_rng(12345).standard_normal(n).astype(M.dtype)
     while True:
         sigma = est + gap
-        lu = _ldl(sigma * eye - M)
-        if lu is None:
+        solve = plan.ldl(sigma, data)
+        if solve is None:
             if sigma > norm1:  # past every eigenvalue, yet no factor
                 raise ConvergenceFailure(
                     f"no positive definite shift found up to {sigma:.17g}")
             gap *= SHIFT_GALLOP
             continue
-        inverse = spla.LinearOperator(M.shape, matvec=lu.solve, dtype=M.dtype)
+        inverse = spla.LinearOperator(M.shape, matvec=solve, dtype=M.dtype)
         if gap <= SHIFT_GALLOP * start:
             break
         try:
@@ -416,14 +518,14 @@ def _top_eigpairs_sparse(op: HermitianOperator, eps_cluster: float,
         vals, V = vals[::-1], V @ Y[:, ::-1]
         if not _residual_check(M, vals, V, norm1):
             raise ConvergenceFailure("eigenpair residuals above tolerance")
-        if _ldl((vals[0] + EIG_RESIDUAL_TOL * scale) * eye - M) is None:
+        if plan.ldl(vals[0] + EIG_RESIDUAL_TOL * scale, data) is None:
             raise ConvergenceFailure(
                 f"inertia certificate failed: an eigenvalue lies above the "
                 f"reported largest {vals[0]:.17g}")
         if np.isinf(eps_cluster):
             return vals, V
         shift = vals[0] - eps_cluster - EIG_RESIDUAL_TOL * scale
-        factor = _ldl_inertia(shift * eye - M)
+        factor = plan.ldl(shift, data, inertia=True)
         if factor is None:
             raise ConvergenceFailure(
                 f"cluster certificate failed: no inertia count at "

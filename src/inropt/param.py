@@ -11,12 +11,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NonHermitianInput
 from .kernels import (Basis, HermitianOperator, as_hermitian,
                       hermitian_eigvals, largest_eigpairs, matmul,
-                      spectral_norm_ub)
+                      shift_plan, spectral_norm_ub)
 
 EPS_CLUSTER_DEFAULT = 1e-6
 MAX_CLUSTER_DEFAULT = 10
@@ -36,7 +35,10 @@ class ParamHermitian:
 
     A(w) is assembled in the storage and dtype of its terms: a family with
     any sparse term evaluates to CSR, a dense one to an array whose dtype
-    is that of the sum, so a real family evaluates in real arithmetic.
+    is that of the sum, so a real family evaluates in real arithmetic.  A
+    sparse family stores one pattern, the union of its terms' patterns
+    plus the diagonal, and every A(w) and A'(w) lies on it, with the
+    family's one :class:`~inropt.kernels.ShiftPlan`.
     """
 
     def __init__(self, terms: Sequence[Term], omega_range):
@@ -49,12 +51,14 @@ class ParamHermitian:
         if a > b:
             raise ValueError("domain interval must satisfy a <= b")
         self.terms = tuple(terms)
-        # Storage for evaluation, chosen once: all CSR when any term is
-        # sparse, else the dense arrays as given.  project() reads the terms.
-        mats = [t.matrix.raw for t in self.terms]
+        # Storage for evaluation, chosen once: the dense arrays as given, or,
+        # when any term is sparse, the terms' data arrays on one CSR pattern
+        # and that pattern's shift plan, shared by every evaluation.
+        # project() reads the terms.
+        self._parts = [t.matrix.raw for t in self.terms]
+        self._plan = None
         if not all(t.matrix.is_dense for t in self.terms):
-            mats = [sp.csr_matrix(M) for M in mats]
-        self._mats = tuple(mats)
+            self._plan, self._parts = shift_plan(self._parts)
         self.omega_range = (a, b)
         self.is_trig = False  # only trig() sets it; project() carries it
         self.dim = dims.pop()
@@ -78,10 +82,12 @@ class ParamHermitian:
         if any(np.imag(c) != 0 for c in coeffs):  # keeps A(w) Hermitian
             raise NonHermitianInput(f"complex coefficients {coeffs!r}")
         # Folded from the first term: sum() would start from the int 0.
-        out = coeffs[0] * self._mats[0]
-        for c, M in zip(coeffs[1:], self._mats[1:]):
-            out = out + c * M
-        return HermitianOperator(out, check=False)
+        out = coeffs[0] * self._parts[0]
+        for c, X in zip(coeffs[1:], self._parts[1:]):
+            out = out + c * X
+        if self._plan is not None:
+            out = self._plan.matrix(out)
+        return HermitianOperator(out, check=False, plan=self._plan)
 
     def evaluate(self, omega: float) -> HermitianOperator:
         """A(w).  Evaluation outside the domain is permitted (line searches)."""

@@ -7,7 +7,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from inropt import gallery, kernels
-from inropt.param import ParamHermitian
+from inropt.param import ParamHermitian, Term, top_cluster
+from inropt.subspace import subspace_minimize
 from inropt.errors import (ConvergenceFailure, NonHermitianInput,
                            SingularPencil)
 from inropt.kernels import (EIG_RESIDUAL_TOL, Basis, HermitianOperator,
@@ -58,25 +59,25 @@ def eigsh_recording_k(monkeypatch):
     return ks
 
 
-def shift_search_recording(monkeypatch, M):
+def shift_search_recording(monkeypatch):
     """Record, in call order, each sparse PD test of the kernels as
     ``("pd", sigma, passed)`` for ``sigma*I - M``, and each values-only
-    Lanczos cycle of the shift search as ``("cycle",)``."""
-    ldl, eigsh, events = kernels._ldl, spla.eigsh, []
-    diag = M.diagonal().real
+    Lanczos cycle of the shift search as ``("cycle",)``.  Inertia counts
+    are not recorded."""
+    ldl, eigsh, events = kernels.ShiftPlan.ldl, spla.eigsh, []
 
-    def pd_test(A):
-        lu = ldl(A)
-        events.append(("pd", float(A.diagonal().real[0] + diag[0]),
-                       lu is not None))
-        return lu
+    def pd_test(plan, sigma, data, inertia=False):
+        factor = ldl(plan, sigma, data, inertia)
+        if not inertia:
+            events.append(("pd", float(sigma), factor is not None))
+        return factor
 
     def cycle(A, k, **kw):
         if not kw.get("return_eigenvectors", True):
             events.append(("cycle",))
         return eigsh(A, k=k, **kw)
 
-    monkeypatch.setattr(kernels, "_ldl", pd_test)
+    monkeypatch.setattr(kernels.ShiftPlan, "ldl", pd_test)
     monkeypatch.setattr(spla, "eigsh", cycle)
     return events
 
@@ -227,7 +228,7 @@ class TestLargestEigpairs:
         start = kernels.REFINED_REL_GAP * norm1
         top, _ = largest_eigpairs(P, eps_cluster=1e-6, max_pairs=3)
         lower = min(top[0] + offset, norm1)
-        events = shift_search_recording(monkeypatch, P)
+        events = shift_search_recording(monkeypatch)
         vals, _ = largest_eigpairs(P, eps_cluster=1e-6, max_pairs=3,
                                    lower=top[0] + offset)
         assert vals[0] == pytest.approx(top[0],
@@ -257,7 +258,7 @@ class TestLargestEigpairs:
         norm1 = spectral_norm_ub(P)
         start = kernels.REFINED_REL_GAP * norm1
         top, _ = largest_eigpairs(P, eps_cluster=1e-6, max_pairs=3)
-        events = shift_search_recording(monkeypatch, P)
+        events = shift_search_recording(monkeypatch)
         vals, _ = largest_eigpairs(P, eps_cluster=1e-6, max_pairs=3,
                                    lower=top[0] - 0.5 * start)
         assert events == [
@@ -276,7 +277,7 @@ class TestLargestEigpairs:
         norm1 = spectral_norm_ub(M)
         start = kernels.REFINED_REL_GAP * norm1
         top, _ = largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
-        events = shift_search_recording(monkeypatch, M)
+        events = shift_search_recording(monkeypatch)
         recorded = spla.eigsh
 
         def low_estimate(A, k, **kw):
@@ -318,7 +319,7 @@ class TestLargestEigpairs:
             raise spla.ArpackNoConvergence("cut short", values, None)
 
         monkeypatch.setattr(spla, "eigsh", cut_short)
-        events = shift_search_recording(monkeypatch, M)
+        events = shift_search_recording(monkeypatch)
         vals, _ = largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
         cycle = events.index(("cycle",))
         assert events[cycle - 1][2]
@@ -330,10 +331,11 @@ class TestLargestEigpairs:
         # a PD test that never passes gallops past ||M||_1 and stops there
         P = gallery.poisson2d(32)
         norm1 = spectral_norm_ub(P)
-        shifts, diag = [], P.diagonal()[0]
+        shifts = []
         monkeypatch.setattr(
-            kernels, "_ldl",
-            lambda A: shifts.append(A.diagonal()[0] + diag) or None)
+            kernels.ShiftPlan, "ldl",
+            lambda plan, sigma, data, inertia=False:
+                shifts.append(sigma) or None)
         with pytest.raises(ConvergenceFailure,
                            match="no positive definite shift"):
             largest_eigpairs(P, eps_cluster=1e-6, max_pairs=3)
@@ -430,16 +432,20 @@ class TestLargestEigpairs:
         # fail, not fall back to the uncertified cluster
         M = permuted_qep_matrix(0.524, 1.9, seed=2)
         top = np.linalg.eigvalsh(M.toarray())[-1]
-        diag = M.diagonal()
-        splu = spla.splu
+        ldl, splu, shifts = kernels.ShiftPlan.ldl, spla.splu, []
+
+        def recording(plan, sigma, data, inertia=False):
+            shifts.append(sigma)
+            return ldl(plan, sigma, data, inertia)
 
         def splu_pivoting_below_top(A, **kw):
             lu = splu(A, **kw)
-            if A.diagonal()[0] + diag[0] < top:
+            if shifts[-1] < top:
                 return SimpleNamespace(perm_r=np.roll(lu.perm_r, 1),
                                        perm_c=lu.perm_c)
             return lu
 
+        monkeypatch.setattr(kernels.ShiftPlan, "ldl", recording)
         monkeypatch.setattr(spla, "splu", splu_pivoting_below_top)
         with pytest.raises(ConvergenceFailure, match="cluster certificate"):
             largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
@@ -450,24 +456,21 @@ class TestLargestEigpairs:
         M = permuted_qep_matrix(0.524, 1.9, seed=2)
         dense = np.linalg.eigvalsh(M.toarray())[::-1]
         ks = eigsh_recording_k(monkeypatch)
-        counts = []
-        inertia = kernels._ldl_inertia
-        monkeypatch.setattr(kernels, "_ldl_inertia",
-                            lambda A: counts.append(1) or inertia(A))
-        ldl_calls = []
-        ldl = kernels._ldl
-        monkeypatch.setattr(kernels, "_ldl",
-                            lambda A: ldl_calls.append(1) or ldl(A))
+        calls = []
+        ldl = kernels.ShiftPlan.ldl
+        monkeypatch.setattr(
+            kernels.ShiftPlan, "ldl",
+            lambda plan, sigma, data, inertia=False:
+                calls.append(inertia) or ldl(plan, sigma, data, inertia))
         for p in (1, 5):
-            counts.clear()
-            ldl_calls.clear()
+            calls.clear()
             vals, vecs = largest_eigpairs(M, np.inf, p)
             assert len(vals) == p
             np.testing.assert_allclose(vals, dense[:p], rtol=0, atol=1e-12)
             R = M @ vecs - vecs * vals[np.newaxis, :]
             assert np.linalg.norm(R, axis=0).max() <= 1e-10
             # every factorization is a PD test: no count was taken
-            assert len(counts) == len(ldl_calls)
+            assert calls and not any(calls)
         assert ks == [2, 6]
 
     def test_lanczos_path_is_deterministic(self):
@@ -677,6 +680,110 @@ class TestIsPd:
             for shift in (-1e-6, 1e-6, 0.1):
                 S = (top + shift) * sp.identity(n) - M
                 assert is_pd(S) == is_pd(S.toarray()) == (shift > 0)
+
+
+def splu_specs(monkeypatch):
+    """Record the ``permc_spec`` of every SuperLU factorization."""
+    splu, specs = spla.splu, []
+
+    def recording(A, **kw):
+        specs.append(kw.get("permc_spec"))
+        return splu(A, **kw)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    return specs
+
+
+def path_adjacency(n, seed):
+    """Permuted adjacency of a path: zero diagonal, none of it stored."""
+    off = np.ones(n - 1)
+    M = sp.diags([off, off], [-1, 1]).tocsr()
+    p = np.random.default_rng(seed).permutation(n)
+    M = M[p][:, p]
+    assert not M.diagonal().any() and M.nnz == 2 * (n - 1)
+    return M
+
+
+def qep_family(beta=0.52):
+    A1, B1 = gallery.qep_linearization(*gallery.qep_mass_spring(500, beta))
+    return ParamHermitian.trig(A1, B1)
+
+
+class TestShiftPlan:
+    """One symbolic LDL^T setup per sparse pattern: the first factorization
+    takes the fill-reducing order, every later one reuses it."""
+
+    @pytest.mark.parametrize("matrix", ["qep", "poisson", "no-diagonal"])
+    def test_inertia_counts_match_dense(self, matrix, monkeypatch):
+        M = {"qep": lambda: permuted_qep_matrix(0.52, 1.0, seed=3),
+             "poisson": lambda: gallery.poisson2d(32),
+             "no-diagonal": lambda: path_adjacency(1200, seed=3)}[matrix]()
+        w = np.linalg.eigvalsh(M.toarray())
+        plan, (data,) = kernels.shift_plan([M])
+        specs = splu_specs(monkeypatch)
+        rng = np.random.default_rng(4)
+        b = rng.standard_normal(M.shape[0])
+        eye = sp.identity(M.shape[0])
+        for s in rng.uniform(w[0] - 0.1, w[-1] + 0.1, 12):
+            solve, count = plan.ldl(s, data, inertia=True)
+            assert count == np.count_nonzero(w >= s)
+            assert (plan.ldl(s, data) is not None) == (count == 0)
+            x = solve(b)
+            assert np.linalg.norm((s * eye - M) @ x - b) <= \
+                1e-10 * (abs(s) + np.abs(w).max()) * np.linalg.norm(x)
+        # the first factorization takes the order, the other 23 reuse it
+        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 23
+
+    def test_cancelling_entry_keeps_pattern_and_order(self, monkeypatch):
+        # A(w) = A + w*B, where B cancels A's off-diagonal entries exactly
+        # at w = 1: A(1) is diagonal, yet stored on the family's pattern
+        n = 1200
+        rng = np.random.default_rng(6)
+        off = rng.standard_normal(n - 1)
+        A = sp.diags([off, rng.standard_normal(n), off], [-1, 0, 1])
+        B = sp.diags([-off, -off], [-1, 1])
+        P = ParamHermitian(
+            [Term(lambda w: 1.0, lambda w: 0.0, HermitianOperator(A)),
+             Term(lambda w: w, lambda w: 1.0, HermitianOperator(B))],
+            (0.0, 2.0))
+        specs = splu_specs(monkeypatch)
+        first = P.evaluate(0.5).raw
+        for w in (0.5, 1.0, 1.5):
+            M = P.evaluate(w)
+            assert np.array_equal(M.raw.indices, first.indices)
+            assert np.array_equal(M.raw.indptr, first.indptr)
+            assert M.plan is P.evaluate(0.0).plan
+            top = np.linalg.eigvalsh(M.dense)[-1]
+            vals, _ = largest_eigpairs(M, eps_cluster=1e-6, max_pairs=3)
+            assert vals[0] == pytest.approx(top, abs=1e-12)
+        assert np.count_nonzero(P.evaluate(1.0).raw.data) == n
+        assert specs.count("MMD_AT_PLUS_A") == 1
+        assert specs[0] == "MMD_AT_PLUS_A" and len(specs) > 3
+
+    def test_one_order_per_sparse_subspace_solve(self, monkeypatch):
+        specs = splu_specs(monkeypatch)
+        subspace_minimize(qep_family(), omega1=1.0)
+        assert specs[0] == "MMD_AT_PLUS_A"
+        assert specs[1:] == ["NATURAL"] * (len(specs) - 1)
+        assert len(specs) > 10
+
+    def test_repeated_sparse_solves_return_identical_bits(self):
+        # the first solve of a family takes its order, the second reuses
+        # it, and a new family takes it again: the same bits each time.
+        # The factor that takes the order (on the unpermuted matrix) agrees
+        # with the later ones only to rounding; here its PD test fails, so
+        # it never reaches Lanczos.
+        P = qep_family()
+        runs = [subspace_minimize(Q, omega1=1.0)
+                for Q in (P, P, qep_family())]
+        for res, state in runs[1:]:
+            assert res.f_star == runs[0][0].f_star
+            assert res.omega_star == runs[0][0].omega_star
+            assert res.lower_bound == runs[0][0].lower_bound
+            assert state.trace == runs[0][1].trace
+        clusters = [top_cluster(Q, 2.0) for Q in (qep_family(), P)]
+        assert np.array_equal(clusters[0].values, clusters[1].values)
+        assert np.array_equal(clusters[0].vectors, clusters[1].vectors)
 
 
 class TestPencil:
@@ -948,6 +1055,30 @@ def test_no_eigensolver_outside_kernels():
                         "get_lapack_funcs"):
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_one_sparse_factorization_routine():
+    # Every sparse factorization of the package is made by ShiftPlan.ldl,
+    # on the plan's symbolic setup; a splu call anywhere else would build
+    # and order its matrix anew.
+    import ast
+    from pathlib import Path
+
+    found = []
+
+    def visit(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "attr", getattr(func, "id", None)) == "splu":
+                    found.append((path.name, ".".join(scope)))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+            visit(child, scope + (child.name,) if named else scope, path)
+
+    for path in sorted(Path(kernels.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), (), path)
+    assert found == [("kernels.py", "ShiftPlan.ldl")]
 
 
 @pytest.mark.parametrize("call, match", [
