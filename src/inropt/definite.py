@@ -182,8 +182,9 @@ def nearest_definite_pair(A, B, delta: float, method: str = "auto",
     - ``A_tilde + i*B_tilde = e^{-i*psi}((A + dA) + i(B + dB))``, checked
       one block of rows at a time;
 
-    with ``scale = max(1, ||[A B]||_2)``.  All checks run before returning;
-    a Crawford solve that stops short raises ConvergenceFailure.
+    with ``scale = ||[A B]||_2``, or 1 for a zero pair.  All checks run
+    before returning; a Crawford solve that stops short raises
+    ConvergenceFailure.
     """
     if not 0 < delta < np.inf:
         raise ValueError("delta must be positive and finite")
@@ -196,7 +197,7 @@ def nearest_definite_pair(A, B, delta: float, method: str = "auto",
     c, s = np.cos(theta), np.sin(theta)
     # Before the outputs exist, so that the Gram matrix does not stack on
     # them.
-    scale = max(1.0, stacked_norm(Ah, Bh))
+    scale = stacked_norm(Ah, Bh) or 1.0
     H = np.multiply(Ah, c, dtype=np.result_type(Ah, Bh, c))
     H += Bh * s
     H += H.conj().T

@@ -59,7 +59,7 @@ EIG_RESIDUAL_TOL = 1e-10
 REFINED_REL_GAP = 1e-5
 SHIFT_GALLOP = 10.0
 REFINE_TOL = 1e-2
-# Hermitian symmetry tolerance, relative to max(1, ||M||_F).
+# Hermitian symmetry tolerance, relative to ||M||_F.
 HERMITIAN_TOL = 1e-12
 # orthonormal_extend drops a vector whose remainder is below this fraction
 # of its norm.
@@ -103,7 +103,7 @@ class HermitianOperator:
         # The Frobenius norm in ufuncs: numpy's norm is a BLAS dot, whose
         # threads then spin on into the next solve.
         x = np.abs(M if self.is_dense else M.data)
-        scale = max(1.0, float(np.sqrt(np.sum(x * x))))
+        scale = float(np.sqrt(np.sum(x * x)))
         if dev > HERMITIAN_TOL * scale:
             raise NonHermitianInput(
                 f"symmetry deviation {dev:.3e} exceeds {HERMITIAN_TOL:.0e} * {scale:.3e}"
@@ -297,16 +297,18 @@ class ShiftPlan:
     the whole diagonal (see :func:`shift_plan`).
 
     The first factorization takes SuperLU's fill-reducing ``MMD_AT_PLUS_A``
-    order of the pattern.  The plan then permutes the pattern by that order
-    once, into CSC, with a map that gathers M's data into it and the
-    positions of its diagonal.  Every later factorization gathers the data,
-    writes sigma into the diagonal in place and factors in the ``NATURAL``
-    order: the same order, not taken again.
+    order of the pattern and keeps it.  The second permutes the pattern by
+    that order once, into CSC, with a map that gathers M's data into it and
+    the positions of its diagonal, so a plan used once never builds it.
+    Every later factorization gathers the data, writes sigma into the
+    diagonal in place and factors in the ``NATURAL`` order: the same order,
+    not taken again.
     """
 
     def __init__(self, pattern):
         self.pattern = pattern
-        self._layout = None  # _csc_layout in the order, once taken
+        self._order = None  # the fill-reducing order, once taken
+        self._layout = None  # _csc_layout in that order, from the second on
 
     def matrix(self, data) -> sp.csr_matrix:
         """The CSR matrix with ``data`` on the plan's pattern."""
@@ -327,6 +329,8 @@ class ShiftPlan:
         factorization is singular or pivoted.  Every sparse factorization
         of the package is made here.
         """
+        if self._layout is None and self._order is not None:
+            self._layout = _csc_layout(self.pattern, self._order)
         order, back, gather, diag, indices, indptr = (
             self._layout or _csc_layout(self.pattern, None))
         a = -data[gather]
@@ -345,7 +349,7 @@ class ShiftPlan:
         if order is None:
             # Row and column i of M are row and column perm_c[i] of the
             # factor.
-            self._layout = _csc_layout(self.pattern, np.argsort(lu.perm_c))
+            self._order = np.argsort(lu.perm_c)
         if not np.array_equal(lu.perm_r, lu.perm_c):
             return None
         count = int(np.count_nonzero(lu.U.diagonal().real <= 0.0))

@@ -30,7 +30,7 @@ MAX_ITER_DEFAULT = 200
 # level set has collapsed to the attainable minimum.
 COLLAPSE_TOL = 1e-14
 # A converged stop needs 0 within this distance of the final derivative
-# interval, relative to max(1, ||C||_2).  This catches a level set that
+# interval, relative to ||C||_2.  This catches a level set that
 # vanished because the pencil missed a crossing outside CIRCLE_TOL.
 STATIONARY_TOL = 1e-4
 
@@ -128,14 +128,14 @@ def levelset_minimize(C: np.ndarray, tol: float = TOL_DEFAULT,
                       max_iter: int = MAX_ITER_DEFAULT):
     """Globally minimize lambda_max(H(theta)) for a dense square C.
 
-    Returns ``(MinResult, LevelSetTrace)``.  Termination is on relative
-    decrease of the estimate below ``tol``, or on the level set vanishing or
-    collapsing below angle resolution.
+    Returns ``(MinResult, LevelSetTrace)``.  Termination is on a decrease
+    of the estimate of at most ``tol * ||C||_2``, or on the level set
+    vanishing or collapsing below angle resolution.
     """
     check_options(tol, max_iter)
     C = np.asarray(C, dtype=complex)
     P = ParamHermitian.trig(*hermitian_split(C))
-    norm_c = float(np.linalg.norm(C, 2))  # one SVD per solve
+    norm_c = float(np.linalg.norm(C, 2))  # one SVD; the stopping scale
 
     def lam_max(theta):
         return float(hermitian_eigvals(P.evaluate(theta))[0])
@@ -167,7 +167,7 @@ def levelset_minimize(C: np.ndarray, tol: float = TOL_DEFAULT,
         angles.append(omega_new)
         if r_new < r:
             omega_star = omega_new
-        if r - r_new <= tol * max(1.0, abs(r_new)):
+        if r - r_new <= tol * norm_c:
             r = min(r, r_new)
             status = Status.CONVERGED
             break
@@ -178,7 +178,7 @@ def levelset_minimize(C: np.ndarray, tol: float = TOL_DEFAULT,
     # input affords the whole cluster, whose cut would be a sub-interval.
     clarke = top_cluster(P, omega_star, max_pairs=P.dim).clarke
     dist = max(0.0, clarke.lo, -clarke.hi)
-    if status is Status.CONVERGED and dist > STATIONARY_TOL * max(1.0, norm_c):
+    if status is Status.CONVERGED and dist > STATIONARY_TOL * norm_c:
         status = Status.MAX_ITERATIONS
         note = (f"{note or 'stopped'}: not a minimum, 0 lies {dist:.3e} "
                 "from the derivative interval")

@@ -138,8 +138,8 @@ class ClarkeInterval:
         return self.lo < 0.0 < self.hi
 
 
-# Eigenvalues closer than this (relative) are a numerically exact tie; only
-# then is the eigenvector attribution arbitrary enough to need the
+# Eigenvalues closer than this times |lambda_max| are a numerically exact
+# tie; only then is the eigenvector attribution arbitrary enough to need the
 # derivative-interval slope.  Looser gates would build supports with the
 # wrong branch slope near a kink and break the lower-bound certificate.
 TIE_TOL = 1e-13
@@ -171,7 +171,7 @@ class TopCluster:
 
     @property
     def slope(self) -> float:
-        tie = TIE_TOL * max(1.0, abs(self.lambda_max))
+        tie = TIE_TOL * abs(self.lambda_max)
         m = 1
         while m < len(self.values) and self.values[0] - self.values[m] <= tie:
             m += 1

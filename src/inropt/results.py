@@ -1,4 +1,4 @@
-"""Shared result container for the three global minimizers."""
+"""Shared result container and stopping scale of the global minimizers."""
 
 from __future__ import annotations
 
@@ -10,6 +10,12 @@ from typing import Optional
 from .param import ClarkeInterval
 
 TOL_DEFAULT = 1e-12
+
+
+def trace_scale(rows, s: float = 0.0) -> float:
+    """The ``s`` of every stop ``gap <= tol * s``: the largest ``|value|``
+    over ``s`` and trace rows (``levelset`` takes ``||C||_2``)."""
+    return max([s, *(abs(row[2]) for row in rows)])
 
 
 def check_options(tol, max_iter, eps_cluster=0.0):
@@ -36,10 +42,12 @@ class MinResult:
     are ``-inf`` for evaluations made before a model/certificate existed and
     are non-decreasing along the run.  ``f_star`` is the best certified
     function value and ``lower_bound`` the final certified lower bound
-    (``-inf`` for methods that do not produce one).  ``clarke`` is the
-    derivative interval at ``omega_star``; for ``support`` and ``subspace``
-    it spans at most ``MAX_CLUSTER_DEFAULT`` branches, a sub-interval of
-    the true one, so only a true ``contains_zero_strictly`` is conclusive.
+    (``-inf`` for methods that do not produce one).  ``Converged`` means
+    the gap fell to ``tol`` times :func:`trace_scale`, never to an absolute
+    ``tol``.  ``clarke`` is the derivative interval at ``omega_star``; for
+    ``support`` and ``subspace`` it spans at most ``MAX_CLUSTER_DEFAULT``
+    branches, a sub-interval of the true one, so only a true
+    ``contains_zero_strictly`` is conclusive.
     """
 
     omega_star: float

@@ -20,7 +20,8 @@ from .errors import ReducedSolveFailure
 from .kernels import (Basis, hermitian_eigvals, largest_eigpairs,
                       orthonormal_extend)
 from .param import EPS_CLUSTER_DEFAULT, ParamHermitian, top_cluster
-from .results import TOL_DEFAULT, MinResult, Status, check_options
+from .results import (TOL_DEFAULT, MinResult, Status, check_options,
+                      trace_scale)
 from . import support as _support
 
 MAX_ITER_DEFAULT = 100
@@ -28,6 +29,9 @@ MAX_ITER_DEFAULT = 100
 # first draw): fixed, so runs repeat; generic, so the first basis avoids
 # special angles such as the midpoint, where the rotated family is -A.
 DEFAULT_START = 0.6369616873214543
+# Reduced values carry rounding of about this times the stopping scale s:
+# the reduced solves run to it, and nothing below NOISE_REL * s is certain.
+NOISE_REL = 50.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -52,39 +56,35 @@ def subspace_minimize(P: ParamHermitian,
                       gamma: Optional[float] = None):
     """Globally minimize lambda_max(A(w)) through projected subproblems.
 
-    ``omega1`` fixes the initial sample point; when omitted it is the point
-    ``DEFAULT_START`` of the way along the domain.  Round k keeps the
+    ``omega1`` fixes the initial sample point, in the domain; when omitted
+    it is the point ``DEFAULT_START`` of the way along.  Round k keeps the
     certified lower bound ``l_k`` and ``f_k = lambda_max(A(w_k))`` at the
-    reduced minimizer, and converges once
-    ``f_k - l_k <= max(tol, 3 * noise) * max(1, |f_k|)``.  The reduced
-    solves take ``gamma`` as :func:`support.eigopt_minimize` does: without
-    it a trigonometric family gets sinusoid supports.  Returns
-    ``(MinResult, SubspaceState)``.
+    reduced minimizer, and converges once ``f_k - l_k <= max(tol, 3 *
+    NOISE_REL) * s``, ``s`` the stopping scale over the reduced solves and
+    every ``f_k``.  The reduced solves take ``gamma`` as
+    :func:`support.eigopt_minimize` does: without it a trigonometric family
+    gets sinusoid supports.  Returns ``(MinResult, SubspaceState)``.
     """
     check_options(tol, max_iter, eps_cluster)
     a, b = P.omega_range
     if omega1 is None:
         omega1 = a + DEFAULT_START * (b - a)
+    if not a <= omega1 <= b:
+        raise ValueError("omega1 outside the domain")
 
     cluster = top_cluster(P, omega1, eps_cluster)
     basis = orthonormal_extend(Basis.empty(P.dim), cluster.vectors.T)
     state = SubspaceState(basis=basis, reduced=P.project(basis),
                           cluster_sizes=[len(cluster.values)])
     status, note = Status.MAX_ITERATIONS, "iteration limit"
-    lower, rows = -np.inf, []
+    lower, rows, s = -np.inf, [], abs(cluster.lambda_max)
     for k in range(1, max_iter + 1):
-        # Reduced eigenvalues carry O(eps * spectral scale) rounding, which
-        # the norms of the reduced terms track; nothing below it is
-        # certified.
-        scale = sum(np.abs(hermitian_eigvals(t.matrix)[[0, -1]]).max()
-                    for t in state.reduced.terms)
-        noise = 50.0 * np.finfo(float).eps * max(1.0, float(scale))
         res = _support.eigopt_minimize(
-            state.reduced, gamma=gamma, tol=noise,
+            state.reduced, gamma=gamma, tol=NOISE_REL,
             max_iter=5000, omega0=cluster.omega)
+        s = trace_scale(res.trace, s)
         gap = res.f_star - res.lower_bound
-        if (res.status is not Status.CONVERGED
-                and not gap <= 1e-10 * max(1.0, abs(res.f_star))):
+        if res.status is not Status.CONVERGED and not gap <= 1e-10 * s:
             raise ReducedSolveFailure(
                 f"reduced support solve stopped with {res.status.value} "
                 f"(certified gap {gap:.3e})")
@@ -93,11 +93,11 @@ def subspace_minimize(P: ParamHermitian,
         # lambda_max, so the sparse solve starts its shift search there.
         cluster = top_cluster(P, res.omega_star, eps_cluster,
                               lower=res.f_star)
-        lower = max(lower, res.lower_bound
-                    - noise * max(1.0, abs(res.lower_bound)))
         f_k = cluster.lambda_max
+        s = max(s, abs(f_k))
+        lower = max(lower, res.lower_bound - NOISE_REL * s)
         rows.append((k, cluster.omega, f_k, lower))
-        if f_k - lower <= max(tol, 3.0 * noise) * max(1.0, abs(f_k)):
+        if f_k - lower <= max(tol, 3.0 * NOISE_REL) * s:
             status, note = Status.CONVERGED, ""
             break
         grown = orthonormal_extend(state.basis, cluster.vectors.T)

@@ -233,10 +233,11 @@ def _run_support(eval_fn: Callable[[float], tuple], omega_range, gamma,
     trace = []
     # omega0 is evaluated first and stays the incumbent until beaten.
     u, best_omega, best = math.inf, omega0, rows[0][3]
-    ell = -math.inf
+    ell, s = -math.inf, 0.0  # s: results.trace_scale of the rows
     status, note = Status.MAX_ITERATIONS, ""
     for k in itertools.count():
         for w, val, slope, record in rows:
+            s = max(s, abs(val))
             if val < u:
                 u, best_omega, best = val, w, record
             trace.append((len(trace) + 1, w, val, ell))
@@ -245,7 +246,7 @@ def _run_support(eval_fn: Callable[[float], tuple], omega_range, gamma,
             break
         w, ell_next = model.peek_min()
         ell = max(ell, ell_next)  # max of certified lower bounds is certified
-        if u - ell <= tol * max(1.0, abs(u)):
+        if u - ell <= tol * s:
             status = Status.CONVERGED
             break
         if model.near(w):
@@ -272,7 +273,10 @@ def eigopt_minimize(P: ParamHermitian, gamma: Optional[float] = None,
     trigonometric family without one gets sinusoid supports, which need no
     curvature bound; any other family must pass it.  The trigonometric case
     is seeded with evaluations at the four quarter angles, which brackets
-    the minimizer early and keeps runs deterministic.
+    the minimizer early, keeps runs deterministic and makes the stopping
+    scale ``s`` of :func:`results.trace_scale` at least
+    ``max(||A||_2, ||B||_2)``.  The run converges once the best value
+    exceeds the certified lower bound by at most ``tol * s``.
     """
     check_options(tol, max_iter, eps_cluster)
     if gamma is None and not P.is_trig:

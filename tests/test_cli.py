@@ -135,6 +135,15 @@ class TestInr:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: ")
 
+    def test_nan_start_is_a_usage_error(self, ch_files, capsys):
+        # the NaN start reached LAPACK, which failed with exit code 2
+        pa, pb = ch_files
+        code = main(["inr", "--pair", pa, pb, "--method", "subspace",
+                     "--omega0", "nan"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: omega1")
+
     @pytest.mark.parametrize("method", ["support", "subspace", "levelset"])
     def test_non_finite_input_exit_code(self, ch_files, tmp_path, capsys,
                                         method):

@@ -377,11 +377,16 @@ class TestRepairNorms:
             == pytest.approx(svd, rel=1e-12)
         assert rep.distance == pytest.approx(svd, rel=1e-12)
 
-    @pytest.mark.parametrize("pair, method", [
-        (gallery.cheng_higham7(), "support"),
-        (gallery.grcar_pair(kernels.SUBSET_THRESHOLD), "subspace")])
-    def test_doubled_clip_fails_the_certificate(self, pair, method,
+    @pytest.mark.parametrize("pair, method, s", [
+        (gallery.cheng_higham7(), "support", 1.0),
+        (gallery.grcar_pair(kernels.SUBSET_THRESHOLD), "subspace", 1.0),
+        (gallery.cheng_higham7(), "support", 1e-9)],
+        ids=["pair0-support", "pair1-subspace", "pair2-support-1e-09"])
+    def test_doubled_clip_fails_the_certificate(self, pair, method, s,
                                                  monkeypatch):
+        # at s = 1e-9 a scale clamped to max(1, ||[A B]||_2) let the
+        # doubled perturbation through
+        pair = tuple(s * M for M in pair)
         eig = definite.hermitian_eig
 
         def doubled_clip(M, **kwargs):
@@ -391,7 +396,7 @@ class TestRepairNorms:
 
         monkeypatch.setattr(definite, "hermitian_eig", doubled_clip)
         with pytest.raises(VerificationFailure, match="perturbation norm"):
-            nearest_definite_pair(*pair, delta=1e-2, method=method)
+            nearest_definite_pair(*pair, delta=1e-2 * s, method=method)
 
     @pytest.mark.parametrize("pair, method", [
         (gallery.cheng_higham7(), "support"),

@@ -131,6 +131,17 @@ class TestHermitianEig:
         zero = hermitian_eig(sp.csr_matrix((3, 3)))
         assert np.array_equal(zero.values, np.zeros(3))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-8])
+    def test_symmetry_check_is_relative_to_the_matrix(self, scale):
+        # a 1e-6 relative asymmetry was accepted below norm 1
+        rng = np.random.default_rng(3)
+        H = random_hermitian(6, rng, real=True)
+        K = rng.standard_normal((6, 6))
+        with pytest.raises(NonHermitianInput, match="symmetry deviation"):
+            HermitianOperator(scale * (H + 1e-6 * K))
+        HermitianOperator(scale * H)
+        HermitianOperator(np.zeros((6, 6)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("sparse", [False, True])
     def test_non_finite_rejected(self, bad, sparse, monkeypatch):
@@ -733,6 +744,25 @@ class TestShiftPlan:
                 1e-10 * (abs(s) + np.abs(w).max()) * np.linalg.norm(x)
         # the first factorization takes the order, the other 23 reuse it
         assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 23
+
+    def test_permuted_layout_waits_for_the_second_factorization(
+            self, monkeypatch):
+        # a bare sparse PD test factors once: the permuted layout it built
+        # for later factorizations was never used
+        layout, built = kernels._csc_layout, []
+
+        def counting(pattern, order):
+            built.append("natural" if order is None else "permuted")
+            return layout(pattern, order)
+
+        monkeypatch.setattr(kernels, "_csc_layout", counting)
+        M = gallery.poisson2d(32)
+        assert is_pd(M)
+        assert built == ["natural"]
+        plan, (data,) = kernels.shift_plan([M])
+        for sigma in (10.0, 20.0, 30.0):
+            assert plan.ldl(sigma, data) is not None
+        assert built == ["natural", "natural", "permuted"]
 
     def test_cancelling_entry_keeps_pattern_and_order(self, monkeypatch):
         # A(w) = A + w*B, where B cancels A's off-diagonal entries exactly

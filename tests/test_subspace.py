@@ -4,7 +4,8 @@ import pytest
 from inropt import gallery
 from inropt.param import ParamHermitian
 from inropt.results import Status
-from inropt.subspace import (DEFAULT_START, subspace_minimize,
+from inropt.results import TOL_DEFAULT
+from inropt.subspace import (DEFAULT_START, NOISE_REL, subspace_minimize,
                               verify_interpolation)
 from inropt.support import eigopt_minimize
 
@@ -26,6 +27,21 @@ class TestSubspaceMinimize:
         P, _, _ = cheng_higham_family()
         with pytest.raises(ValueError, match=f"^{next(iter(opts))} must be"):
             subspace_minimize(P, **opts)
+
+    @pytest.mark.parametrize("omega1", [np.nan, np.inf, -np.inf, -0.1,
+                                        7.0])
+    def test_bad_start_raises_before_any_evaluation(self, omega1,
+                                                    monkeypatch):
+        # a NaN start reached LAPACK, which failed to converge on it
+        import inropt.subspace as subspace
+
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("evaluated before the check")
+
+        monkeypatch.setattr(subspace, "top_cluster", no_evaluation)
+        P, _, _ = cheng_higham_family()
+        with pytest.raises(ValueError, match="omega1 outside the domain"):
+            subspace_minimize(P, omega1=omega1)
 
     def test_matches_dense_solver_on_cheng_higham(self):
         P, _, _ = cheng_higham_family()
@@ -148,3 +164,37 @@ class TestSubspaceMinimize:
         assert "stagnation" in res.note
         assert "full/reduced gap" in res.note
         assert res.lower_bound <= res.f_star
+
+
+class TestStoppingScale:
+    """One scale s per solve: the floor, the margin, the reduced solves'
+    tol and the stop all read it, and nothing is relative to max(1, |f|)."""
+
+    def test_scaled_pairs_converge_within_the_floor(self):
+        # Scaled by 300, the floor scaled by the family twice; with only
+        # the margin and the stop mended, all 20 pairs stagnated.  The
+        # stopping scale s is at most ||A||_2 + ||B||_2.
+        rng = np.random.default_rng(7)
+        for i in range(20):
+            A, B = random_trig_pair(int(rng.integers(4, 30)), rng)
+            A, B = 300.0 * A, 300.0 * B
+            s = np.linalg.norm(A, 2) + np.linalg.norm(B, 2)
+            res, _ = subspace_minimize(ParamHermitian.trig(A, B), omega1=0.3)
+            assert res.status is Status.CONVERGED, (i, res.note)
+            assert res.f_star - res.lower_bound \
+                <= TOL_DEFAULT * s + 3.0 * NOISE_REL * s, i
+
+    def test_no_eigensolve_of_the_reduced_terms(self, monkeypatch):
+        # the scale comes from the reduced solves' own evaluations
+        import inropt.subspace as subspace
+        eigvals, calls = subspace.hermitian_eigvals, []
+
+        def counting(M):
+            calls.append(M)
+            return eigvals(M)
+
+        monkeypatch.setattr(subspace, "hermitian_eigvals", counting)
+        P, _, _ = cheng_higham_family()
+        res, _ = subspace_minimize(P)
+        assert res.converged and res.iterations > 1
+        assert calls == []
