@@ -166,7 +166,7 @@ def cmd_hyperbolic(args):
                              **_solver_opts(args))
     payload = _inr_payload(wit, args)
     payload["hyperbolic"] = hyp
-    payload["crawford"] = wit.zeta if hyp else 0.0
+    payload["crawford"] = wit.crawford
     _emit(payload, args.out, args.format)
     return _status_code(wit)
 

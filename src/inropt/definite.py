@@ -34,8 +34,9 @@ class InnerRadiusResult:
     """Inner numerical radius with the minimizing angle and boundary data.
 
     ``zeta`` is |f_star|; ``zero_in_fov`` says whether the origin lies in
-    the field of values (f_star >= 0); ``phi`` is the angle at which the
-    closest boundary point zeta * e^{i*phi} is attained.
+    the field of values (f_star >= 0), which every verdict reads; ``phi``
+    is the angle at which the closest boundary point zeta * e^{i*phi} is
+    attained.
     """
 
     zeta: float
@@ -44,6 +45,11 @@ class InnerRadiusResult:
     phi: float
     zero_in_fov: bool
     opt: MinResult
+
+    @property
+    def crawford(self) -> float:
+        """Crawford number: zeta for a definite pair, 0 otherwise."""
+        return 0.0 if self.zero_in_fov else self.zeta
 
 
 class CrawfordResult(NamedTuple):
@@ -120,9 +126,8 @@ def crawford_number(A, B, method: str = "auto", **opts) -> CrawfordResult:
     numerical radius of A + iB, and zero otherwise.
     """
     res = inner_numerical_radius(pair=(A, B), method=method, **opts)
-    definite = res.f_star < 0.0
-    gamma = res.zeta if definite else 0.0
-    return CrawfordResult(gamma=gamma, is_definite=definite, witness=res)
+    return CrawfordResult(gamma=res.crawford, is_definite=not res.zero_in_fov,
+                          witness=res)
 
 
 def _converged_crawford(A, B, method: str, opts) -> CrawfordResult:

@@ -64,9 +64,9 @@ HERMITIAN_TOL = 1e-12
 # orthonormal_extend drops a vector whose remainder is below this fraction
 # of its norm.
 DROP_TOL = 1e-12
-# pencil_unit_eigs keeps eigenvalues within this tolerance, relative to
-# max(1, ||C||_2), of the unit circle.
-CIRCLE_TOL = 1e-8
+# pencil_unit_eigs keeps eigenvalues with ||lambda| - 1| at most this, a
+# dimensionless band: |lambda| is unchanged when C and the level scale.
+CIRCLE_TOL = 1e-6
 # Below this reciprocal 1-norm condition of C^* the level pencil goes to QZ.
 PENCIL_RCOND_MIN = 1e-8
 
@@ -560,25 +560,21 @@ def spectral_norm_ub(M) -> float:
     return float(spla.norm(op.raw, 1))
 
 
-def pencil_unit_eigs(C: np.ndarray, alpha: float,
-                     norm_c: Optional[float] = None):
+def pencil_unit_eigs(C: np.ndarray, alpha: float):
     """Angles of near-unit-modulus eigenvalues of the level pencil.
 
     Builds ``R(alpha) = [[2*alpha*I, -C], [I, 0]]`` against
     ``S = diag(C^*, I)`` and returns ``arg(lambda)`` in [0, 2*pi), sorted,
-    for every generalized eigenvalue with ``||lambda| - 1|`` below
-    ``CIRCLE_TOL * max(1, ||C||_2)``.  They include the crossings of every
-    eigenvalue branch, not only of the largest; the caller classifies the
-    gaps between them.  A well-conditioned ``C`` takes the standard
-    eigenproblem of ``S^{-1} R``, any other the QZ algorithm.  ``norm_c``
-    is ``||C||_2`` when the caller has it, as a solve over several levels
-    of one C does; None takes it here.
+    for every generalized eigenvalue with ``||lambda| - 1|`` at most
+    ``CIRCLE_TOL``.  The eigenvalues do not change when ``C`` and ``alpha``
+    scale together, so neither does the band.  They include the crossings
+    of every eigenvalue branch, not only of the largest; the caller
+    classifies the gaps between them.  A well-conditioned ``C`` takes the
+    standard eigenproblem of ``S^{-1} R``, any other the QZ algorithm.
     """
     C = np.asarray(C, dtype=complex)
     if C.shape[0] != C.shape[1]:
         raise ValueError("C must be square")
-    if norm_c is None:
-        norm_c = float(np.linalg.norm(C, 2))
     n = C.shape[0]
     eye = np.eye(n)
     zero = np.zeros((n, n))
@@ -596,9 +592,9 @@ def pencil_unit_eigs(C: np.ndarray, alpha: float,
         pass
     if ev is None:
         # QZ on C; a singular pencil direction leaves no finite eigenvalue,
-        # so nudge C off the singularity and retry once with a fixed
-        # unit-modulus rotation (keeps runs deterministic).
-        nudge = np.exp(0.7j) * 1e-14 * max(norm_c, 1.0) * eye
+        # so nudge C off it by 1e-14*||C||_1 (1e-14 for C = 0) and retry
+        # once with a fixed unit-modulus rotation (keeps runs deterministic).
+        nudge = np.exp(0.7j) * 1e-14 * (np.linalg.norm(C, 1) or 1.0) * eye
         for Cmat in (C, C + nudge):
             R = np.block([[2.0 * alpha * eye, -Cmat], [eye, zero]])
             S = np.block([[Cmat.conj().T, zero], [zero, eye]])
@@ -612,7 +608,7 @@ def pencil_unit_eigs(C: np.ndarray, alpha: float,
         else:
             raise SingularPencil(
                 "level pencil is singular; perturbation retry failed")
-    keep = np.abs(np.abs(ev) - 1.0) <= CIRCLE_TOL * max(1.0, norm_c)
+    keep = np.abs(np.abs(ev) - 1.0) <= CIRCLE_TOL
     return np.sort(np.mod(np.angle(ev[keep]), 2.0 * np.pi))
 
 

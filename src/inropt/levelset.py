@@ -6,15 +6,15 @@ classifies each gap between consecutive pencil angles as sub-level or not by
 one Cholesky trial at its midpoint, and re-estimates at the midpoints of the
 maximal sub-level intervals.  The estimate sequence decreases monotonically
 to the global minimum; the longest sub-level interval at least halves per
-iteration.  A level set vanishes falsely only when the pencil misses a
-crossing outside CIRCLE_TOL, so a vanished one is backward-stable evidence
-of the minimum, not proof.
+iteration.  A level set vanishes falsely only when rounding moves a
+crossing's pencil eigenvalue more than CIRCLE_TOL off the unit circle, so a
+vanished one is backward-stable evidence of the minimum, not proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import groupby
 
 import numpy as np
 
@@ -30,8 +30,8 @@ MAX_ITER_DEFAULT = 200
 # level set has collapsed to the attainable minimum.
 COLLAPSE_TOL = 1e-14
 # A converged stop needs 0 within this distance of the final derivative
-# interval, relative to ||C||_2.  This catches a level set that
-# vanished because the pencil missed a crossing outside CIRCLE_TOL.
+# interval, relative to ||C||_2.  This catches a level set that vanished
+# because a crossing's pencil eigenvalue left the CIRCLE_TOL band.
 STATIONARY_TOL = 1e-4
 
 
@@ -72,17 +72,15 @@ def _below(H, level):
     return is_pd(S, overwrite=True)
 
 
-def level_intervals(C: np.ndarray, alpha: float,
-                    norm_c: Optional[float] = None):
+def level_intervals(C: np.ndarray, alpha: float):
     """Maximal open intervals where lambda_max(H(theta)) < alpha.
 
     ``lambda_max(H(theta)) - alpha`` changes sign only where an eigenvalue
-    branch crosses alpha, at an angle the level pencil returns; another
-    branch's angle only splits a gap into halves of one sign.  So each gap
-    between consecutive angles takes one Cholesky trial at its midpoint,
-    and runs of sub-level gaps merge into maximal circular intervals.
-    ``norm_c`` is ``||C||_2`` when the caller has it, so that one solve
-    takes it once; None lets the pencil take it.
+    branch crosses alpha, at an angle the level pencil returns; any other
+    angle the pencil keeps only splits a gap into halves of one sign.  So
+    each gap between consecutive angles takes one Cholesky trial at its
+    midpoint, and runs of sub-level gaps merge into maximal circular
+    intervals.
     """
     C = np.asarray(C, dtype=complex)
     if not np.isfinite(C).all():
@@ -90,36 +88,25 @@ def level_intervals(C: np.ndarray, alpha: float,
     # The split of C is Hermitian by construction; nothing to check.
     P = ParamHermitian.trig(*(HermitianOperator(M, check=False)
                               for M in hermitian_split(C)))
-    ang = pencil_unit_eigs(C, alpha, norm_c)  # sorted
+    ang = pencil_unit_eigs(C, alpha)  # sorted
     m = len(ang)
-    # circular gaps: (ang[i], ang[i+1]) and the wrap gap (ang[-1], ang[0]+2pi)
-    sub = []
-    for i in range(m):
-        lo = ang[i]
-        hi = ang[(i + 1) % m] + (TWO_PI if i == m - 1 else 0.0)
-        mid = (0.5 * (lo + hi)) % TWO_PI
-        sub.append(_below(P.evaluate(mid).dense, alpha))
+    # gap i is (ang[i], ang[i + 1]); the last wraps to ang[0] + 2pi
+    mids = 0.5 * (ang + np.r_[ang[1:], ang[:1] + TWO_PI]) % TWO_PI
+    sub = [_below(P.evaluate(t).dense, alpha) for t in mids]
     if not any(sub):
         raise EmptyLevelSet(
             f"no sub-level gap at {alpha!r} (level at or below the minimum)")
-    if all(sub):
-        # whole circle below the level except the touch points
-        return [CircularInterval(lo=float(ang[0]), hi=float(ang[0]), wraps=True)]
+    # gaps in circular order from just after a non-sub gap, so that no run
+    # is cut at the end; the run of gaps i..j spans (ang[i], ang[j + 1]),
+    # and a run of all m gaps the whole circle from ang[0] to itself
+    start = sub.index(False) + 1 if False in sub else 0
     intervals = []
-    # walk runs of consecutive sub-level gaps, starting after a non-sub gap
-    start = next(i for i in range(m) if not sub[i])
-    i = (start + 1) % m
-    run_lo = None
-    for _ in range(m):
-        if sub[i] and run_lo is None:
-            run_lo = ang[i]
-        nxt = (i + 1) % m
-        if run_lo is not None and not sub[nxt]:
-            hi = ang[nxt]
-            intervals.append(CircularInterval(lo=float(run_lo), hi=float(hi),
-                                              wraps=bool(hi <= run_lo)))
-            run_lo = None
-        i = nxt
+    for below, run in groupby([(start + k) % m for k in range(m)],
+                              key=sub.__getitem__):
+        if below:
+            run = list(run)
+            lo, hi = float(ang[run[0]]), float(ang[(run[-1] + 1) % m])
+            intervals.append(CircularInterval(lo=lo, hi=hi, wraps=hi <= lo))
     intervals.sort(key=lambda iv: iv.lo)
     return intervals
 
@@ -149,7 +136,7 @@ def levelset_minimize(C: np.ndarray, tol: float = TOL_DEFAULT,
     note = ""
     for _ in range(max_iter):
         try:
-            intervals = level_intervals(C, r, norm_c)
+            intervals = level_intervals(C, r)
         except EmptyLevelSet:
             status = Status.CONVERGED
             note = "level set vanished"

@@ -358,6 +358,39 @@ class TestHyperbolicSaddle:
         assert code == 0
         assert out["hyperbolic"] is False
 
+    @pytest.mark.parametrize("f_star", [0.0, -0.0, -1e-300])
+    def test_one_sign_rule_for_every_verdict(self, monkeypatch, tmp_path,
+                                             f_star):
+        # the origin on the boundary of the field of values, on either side
+        # of a signed zero: the library and both CLI commands read one
+        # verdict and one Crawford number off zero_in_fov
+        from inropt import definite
+        from inropt.results import MinResult
+        monkeypatch.setattr(
+            definite._support, "eigopt_minimize",
+            lambda P, **kw: MinResult(omega_star=0.5, f_star=f_star,
+                                      lower_bound=f_star, iterations=1))
+        Aq, Bq, Cq = gallery.qep_mass_spring4()
+        for name, M in zip("abc", (Aq, Bq, Cq)):
+            write_matrix(tmp_path / f"{name}.mtx", M)
+        A1, B1 = gallery.qep_linearization(Aq, Bq, Cq)
+        write_matrix(tmp_path / "A1.mtx", A1)
+        write_matrix(tmp_path / "B1.mtx", B1)
+        definite_ = f_star < 0.0  # -0.0 is not: the origin is on the boundary
+        gamma = -f_star if definite_ else 0.0
+        cr = definite.crawford_number(A1, B1, method="support")
+        hyp, wit = definite.is_hyperbolic(Aq, Bq, Cq, method="support")
+        _, out_d = run_json("definite", "--pair", str(tmp_path / "A1.mtx"),
+                            str(tmp_path / "B1.mtx"), "--method", "support")
+        _, out_h = run_json("hyperbolic", "--qep",
+                            *(str(tmp_path / f"{c}.mtx") for c in "abc"),
+                            "--method", "support")
+        assert (cr.is_definite, hyp, out_d["is_definite"],
+                out_h["hyperbolic"]) == (definite_,) * 4
+        assert (cr.gamma, wit.crawford, out_d["crawford"],
+                out_h["crawford"]) == (gamma,) * 4
+        assert wit.zero_in_fov is not definite_
+
     def test_missed_top_eigenvalue_fails_certificate(self, monkeypatch,
                                                     capsys):
         # Lanczos that loses the top pair returns true eigenpairs, so only
@@ -480,6 +513,14 @@ class TestGallery:
             np.testing.assert_array_equal(
                 *(M.toarray() if hasattr(M, "toarray") else M
                   for M in (got, want)))
+
+    def test_invalid_size_exit_code(self, tmp_path, capsys):
+        code = main(["gallery", "moler", "0", "-o", str(tmp_path / "m.mtx")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: n must be >= 1\n"
+        assert not (tmp_path / "m.mtx").exists()
 
 
 class TestFov:

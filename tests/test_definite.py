@@ -659,6 +659,15 @@ class TestSaddleShift:
         with pytest.raises(ConvergenceFailure, match="did not converge"):
             saddle_shift(S, 100, 40, max_iter=2)
 
+    @pytest.mark.parametrize("method", ["support", "levelset"])
+    def test_no_constraint_block_reaches_the_degenerate_angle(self, method):
+        # m = 0 makes J = I: S*cos + J*sin is least at 3*pi/2, where it is
+        # -I, so the boundary angle is pi/2 and the shift formula's
+        # mu = cot(0) is infinite, though any mu < lambda_min(S) would do
+        with pytest.raises(VerificationFailure,
+                           match="degenerate boundary angle"):
+            saddle_shift(np.diag([1.0, -1.0]), 2, 0, method=method)
+
     def test_shift_decided_by_the_pd_test_alone(self, monkeypatch):
         # eigvalsh reads lambda_min > 0 here; a failed PD test still rejects
         import inropt.definite as definite

@@ -164,6 +164,17 @@ class TestGenerateDispatch:
         with pytest.raises(InvalidParams):
             gallery.generate("fiedler")
 
+    @pytest.mark.parametrize("call", [
+        lambda: gallery.moler(0), lambda: gallery.grcar(0),
+        lambda: gallery.tridiag_nonsmooth(2),
+        lambda: gallery.qep_mass_spring(1, 0.5),
+        lambda: gallery.poisson2d(0), lambda: gallery.sparse_random(0, 0.5),
+    ], ids=["moler", "grcar", "tridiag_nonsmooth", "qep_mass_spring",
+            "poisson2d", "sparse_random"])
+    def test_size_below_the_family_minimum(self, call):
+        with pytest.raises(InvalidParams, match="must be >="):
+            call()
+
     def test_invalid_values(self):
         with pytest.raises(InvalidParams):
             gallery.fiedler(0)

@@ -338,6 +338,69 @@ class TestLargestEigpairs:
             ("pd", pytest.approx(vals[0] + EIG_RESIDUAL_TOL * norm1), True)]
         np.testing.assert_allclose(vals, top, rtol=0, atol=1e-12)
 
+    def test_refined_estimate_no_higher_keeps_the_shift(self, monkeypatch):
+        # a cycle whose Ritz value puts the estimate below the last one
+        # keeps the galloped shift: the next PD test is the certificate
+        M = permuted_qep_matrix(0.52, 1.0, seed=2)
+        norm1 = spectral_norm_ub(M)
+        top, _ = largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
+        eigsh = spla.eigsh
+
+        def far_below(A, k, **kw):
+            out = eigsh(A, k=k, **kw)
+            return out if kw.get("return_eigenvectors", True) else 1e-3 * out
+
+        monkeypatch.setattr(spla, "eigsh", far_below)
+        events = shift_search_recording(monkeypatch)
+        vals, _ = largest_eigpairs(M, eps_cluster=1e-6, max_pairs=10)
+        cycle = events.index(("cycle",))
+        assert events[cycle - 1][2]
+        assert events[cycle + 1:] == [
+            ("pd", pytest.approx(vals[0] + EIG_RESIDUAL_TOL * norm1), True)]
+        np.testing.assert_allclose(vals, top, rtol=0,
+                                   atol=EIG_RESIDUAL_TOL * norm1)
+
+    def test_unconverged_pair_solve_raises(self, monkeypatch, capsys):
+        # the k-pair solve has no fallback: Lanczos that stops short is a
+        # ConvergenceFailure, and the CLI's exit code 2
+        eigsh = spla.eigsh
+
+        def cut_short(A, k, **kw):
+            if not kw.get("return_eigenvectors", True):
+                return eigsh(A, k=k, **kw)  # the shift refinement
+            raise spla.ArpackNoConvergence("cut short", np.zeros(0), None)
+
+        monkeypatch.setattr(spla, "eigsh", cut_short)
+        with pytest.raises(ConvergenceFailure,
+                           match="shift-invert Lanczos did not converge"):
+            largest_eigpairs(gallery.poisson2d(32), eps_cluster=1e-6,
+                             max_pairs=3)
+        from inropt.cli import main
+        code = main(["hyperbolic", "--qep-mass-spring", "500",
+                     "--beta", "0.524"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: shift-invert Lanczos")
+
+    def test_inaccurate_pairs_fail_the_residual_check(self, monkeypatch):
+        # Rayleigh-Ritz on a span 1e-3 away from the eigenvectors leaves
+        # residuals far above EIG_RESIDUAL_TOL * ||M||_1
+        eigsh = spla.eigsh
+        noise = np.random.default_rng(3)
+
+        def perturbed(A, k, **kw):
+            out = eigsh(A, k=k, **kw)
+            if not kw.get("return_eigenvectors", True):
+                return out
+            w, V = out
+            return w, V + 1e-3 * noise.standard_normal(V.shape)
+
+        monkeypatch.setattr(spla, "eigsh", perturbed)
+        with pytest.raises(ConvergenceFailure, match="residuals above"):
+            largest_eigpairs(gallery.poisson2d(32), eps_cluster=1e-6,
+                             max_pairs=3)
+
     def test_no_pd_shift_raises(self, monkeypatch):
         # a PD test that never passes gallops past ||M||_1 and stops there
         P = gallery.poisson2d(32)
@@ -1116,7 +1179,10 @@ def test_one_sparse_factorization_routine():
     (lambda: HermitianOperator(np.zeros((2, 3))), "square matrix"),
     (lambda: largest_eigpairs(np.eye(2), 1e-6, 0), "max_pairs"),
     (lambda: pencil_unit_eigs(np.zeros((2, 3)), 0.0), "C must be square"),
-], ids=["not-2d", "not-square", "max-pairs-below-1", "pencil-not-square"])
+    (lambda: orthonormal_extend(Basis.empty(3), [np.ones(2)]),
+     "vector length does not match"),
+], ids=["not-2d", "not-square", "max-pairs-below-1", "pencil-not-square",
+        "extend-length-mismatch"])
 def test_input_checks(call, match):
     with pytest.raises(ValueError, match=match):
         call()

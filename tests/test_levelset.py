@@ -109,8 +109,7 @@ class TestLevelIntervals:
         bogus = [clean[0].midpoint, (clean[0].hi + 1e-3) % TWO_PI]
         pencil = levelset.pencil_unit_eigs
         monkeypatch.setattr(levelset, "pencil_unit_eigs",
-                            lambda C, a, norm_c=None: np.sort(
-                                np.r_[pencil(C, a, norm_c), bogus]))
+                            lambda C, a: np.sort(np.r_[pencil(C, a), bogus]))
         assert level_intervals(C, alpha) == clean
         lower = eigopt_minimize(ParamHermitian.trig(
             *gallery.hermitian_split(C))).lower_bound
@@ -122,10 +121,43 @@ class TestLevelIntervals:
         # the whole circle, one wrapping interval from that point to itself
         import inropt.levelset as levelset
         monkeypatch.setattr(levelset, "pencil_unit_eigs",
-                            lambda C, a, norm_c=None: np.array([1.0]))
+                            lambda C, a: np.array([1.0]))
         intervals = level_intervals(np.eye(3) + 0j, 2.0)
         assert intervals == [CircularInterval(lo=1.0, hi=1.0, wraps=True)]
         assert intervals[0].length == pytest.approx(TWO_PI, rel=1e-15)
+
+    def test_level_step_takes_no_matrix_norm(self, monkeypatch):
+        # the pencil's band is dimensionless: neither the pencil nor the
+        # level step takes ||C||_2 or any other SVD, on the standard path,
+        # on QZ for a singular C, or on the nudged retry for C = 0
+        import scipy.linalg
+        import inropt.levelset as levelset
+        svds = []
+        norm, svd = np.linalg.norm, np.linalg.svd
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            if ord in (2, -2, "nuc") and np.ndim(x) == 2:
+                svds.append(ord)
+            return norm(x, ord, *args, **kwargs)
+
+        def counting_svd(*args, **kwargs):
+            svds.append("svd")
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(scipy.linalg, "svd", counting_svd)
+        monkeypatch.setattr(scipy.linalg, "svdvals", counting_svd)
+        A, B = gallery.cheng_higham7()
+        singular = np.outer(np.arange(1.0, 5.0), np.ones(4)) + 0j
+        for C, alpha in ((A + 1j * B, 1.0), (singular, 3.0),
+                         (np.zeros((2, 2)), 0.0)):
+            levelset.pencil_unit_eigs(C, alpha)
+            try:
+                level_intervals(C, alpha)
+            except EmptyLevelSet:
+                pass
+        assert svds == []
 
     def test_one_cholesky_trial_per_pencil_angle(self, monkeypatch):
         # every gap between consecutive pencil angles takes one midpoint
@@ -141,15 +173,22 @@ class TestLevelIntervals:
             return out
 
         def counting(H, level):
-            trials.append(level)
+            trials.append((level, H.copy()))
             return below(H, level)
 
         monkeypatch.setattr(levelset, "pencil_unit_eigs", recording)
         monkeypatch.setattr(levelset, "_below", counting)
         alpha = float(np.linalg.eigvalsh(A)[-1])
         assert level_intervals(A + 1j * B, alpha)
-        assert len(angles) >= 2
-        assert trials == [alpha] * len(angles)
+        m = len(angles)
+        assert m >= 2
+        assert [level for level, _ in trials] == [alpha] * m
+        # each trial is at its gap's midpoint, taken one gap at a time
+        P = ParamHermitian.trig(*gallery.hermitian_split(A + 1j * B))
+        for i, (_, H) in enumerate(trials):
+            hi = angles[(i + 1) % m] + (TWO_PI if i == m - 1 else 0.0)
+            mid = (0.5 * (angles[i] + hi)) % TWO_PI
+            np.testing.assert_array_equal(H, P.evaluate(mid).dense)
 
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=40)
@@ -306,17 +345,17 @@ class TestLevelsetMinimize:
             assert dist <= 1e-6 * max(1.0, np.linalg.norm(C, 2))
 
     def test_one_spectral_norm_per_solve(self, monkeypatch):
-        # ||C||_2 is a full SVD; C does not change within a solve, so the
-        # solve takes it once, and every level step keeps the intervals
-        # that level_intervals finds when it takes its own
+        # ||C||_2 is a full SVD; the solve takes it once, as its stopping
+        # scale, and every level step keeps the intervals that
+        # level_intervals finds when called directly
         import inropt.levelset as levelset
         A, B = gallery.cheng_higham7()
         C = A + 1j * B
         steps = []
         helper = levelset.level_intervals
 
-        def recording(C, alpha, norm_c=None):
-            out = helper(C, alpha, norm_c)
+        def recording(C, alpha):
+            out = helper(C, alpha)
             steps.append((alpha, out))
             return out
 

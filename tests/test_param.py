@@ -408,3 +408,12 @@ def test_derivative_matrix_only_in_top_cluster():
         calls.module = path.name
         calls.visit(ast.parse(path.read_text()))
     assert calls.found == [("param.py", "top_cluster")]
+
+
+def test_reprs_name_dimension_and_storage():
+    A = HermitianOperator(np.eye(2))
+    S = HermitianOperator(sp.identity(2, format="csr"))
+    assert repr(A) == "HermitianOperator(dim=2, dense)"
+    assert repr(S) == "HermitianOperator(dim=2, sparse)"
+    assert repr(ParamHermitian.trig(A, S)) == (
+        f"ParamHermitian(dim=2, terms=2, domain={(0.0, 2.0 * np.pi)})")

@@ -70,3 +70,26 @@ def test_grcar_bracket_holds_the_minimum_at_every_scale(grcar256, method, s):
     assert res.converged
     assert res.lower_bound / s <= f_min + 1e-13 * abs(f_min)
     assert abs(res.f_star / s - f_min) <= 1e-10 * abs(f_min)
+
+
+def test_level_step_is_scale_free(monkeypatch):
+    # |lambda| of the level pencil does not change when C and the level
+    # scale together, and neither does its band: the same angles and the
+    # same Cholesky trials at every scale.  A band of 1e-8 * ||C||_2 kept
+    # all 24 eigenvalues at s = 1e8 and took 96 trials.
+    import inropt.levelset as levelset
+    from inropt.kernels import pencil_unit_eigs
+    rng = np.random.default_rng(5)
+    C = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    base = levelset_minimize(C)[0].f_star
+    below = levelset._below
+    for s in SCALES:
+        assert len(pencil_unit_eigs(s * C, s * (base + 0.5))) == 4, s
+        trials = []
+        monkeypatch.setattr(levelset, "_below", lambda H, a: (
+            trials.append(a), below(H, a))[1])
+        res = levelset_minimize(s * C)[0]
+        monkeypatch.undo()
+        assert res.converged, (s, res.note)
+        assert len(trials) == 16, s
+        assert abs(res.f_star / s - base) <= 1e-12 * abs(base), s

@@ -84,6 +84,16 @@ class TestSubspaceMinimize:
         for k in range(1, len(state.trace) + 1):
             assert verify_interpolation(state, P, k) <= 1e-6 * scale
 
+    def test_interpolation_index_checked(self):
+        P, _, _ = cheng_higham_family()
+        _, state = subspace_minimize(P, omega1=0.7)
+        for k in (0, len(state.trace) + 1):
+            with pytest.raises(ValueError, match="k must be in 1.."):
+                verify_interpolation(state, P, k)
+        state.trace.clear()
+        with pytest.raises(ValueError, match="empty trace"):
+            verify_interpolation(state, P, 1)
+
     def test_full_basis_saturation_machine_level(self):
         rng = np.random.default_rng(6)
         A, B = random_trig_pair(3, rng)

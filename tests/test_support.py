@@ -172,6 +172,12 @@ class TestPiecewiseModel:
             model.insert(SupportPoint(w, 0.0, 0.0, -2.0))
         assert model.peek_min() == (0.0, -1.0)
 
+    def test_support_outside_the_domain_rejected(self):
+        model = PiecewiseModel((0.0, 1.0))
+        with pytest.raises(ValueError, match="outside the domain"):
+            model.insert(SupportPoint(1.5, 0.0, 0.0, -2.0))
+        assert model.supports == []
+
     def test_empty_model_has_no_minimum(self):
         with pytest.raises(RuntimeError, match="no segments"):
             PiecewiseModel((0.0, 1.0)).peek_min()
@@ -288,6 +294,13 @@ class TestSolverOptions:
         P = ParamHermitian.trig(*gallery.cheng_higham7())
         with pytest.raises(ValueError, match=f"^{next(iter(opts))} must be"):
             eigopt_minimize(P, **opts)
+
+    def test_start_outside_the_domain_raises(self):
+        def f(w):
+            raise AssertionError("evaluated outside the domain")
+
+        with pytest.raises(ValueError, match="omega0 outside the domain"):
+            eigopt_minimize_callback(f, (0.0, 1.0), gamma=-1.0, omega0=1.5)
 
     @pytest.mark.parametrize("opts", BAD_OPTIONS, ids=option_id)
     def test_bad_callback_option_raises(self, opts):
