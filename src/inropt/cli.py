@@ -23,7 +23,7 @@ from . import gallery
 from .definite import (crawford_number, inner_numerical_radius, is_hyperbolic,
                        nearest_definite_pair, saddle_shift)
 from .errors import ConvergenceFailure, InroptError, VerificationFailure
-from .kernels import hermitian_split
+from .kernels import general_eigvals, hermitian_split, matmul
 from .mmio import read_matrix, write_matrix
 from .param import ParamHermitian, top_cluster
 
@@ -238,10 +238,10 @@ def cmd_fov(args):
     for i in range(m):
         th = 2.0 * np.pi * i / m
         v = top_cluster(P, th).vectors[:, 0]
-        p = complex(v.conj() @ C @ v)
+        p = complex(matmul(matmul(v.conj(), C), v))
         boundary.append(p)
         rows.append(("boundary", th, p.real, p.imag))
-    for lam in np.linalg.eigvals(C):
+    for lam in general_eigvals(C):
         rows.append(("eigenvalue", "", lam.real, lam.imag))
     j = int(np.argmin(np.abs(boundary)))
     zp = boundary[j]

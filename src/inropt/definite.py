@@ -19,7 +19,7 @@ from .errors import (ConvergenceFailure, NotPositiveDefiniteMass,
                      VerificationFailure)
 from .gallery import qep_linearization
 from .kernels import (as_hermitian, below_dense_threshold, hermitian_eig,
-                      hermitian_eigvals, is_pd, matmul, stacked_norm)
+                      hermitian_eigvals, is_pd, matmul, stacked_norm_below)
 from .param import EPS_CLUSTER_DEFAULT, ParamHermitian
 from .results import TOL_DEFAULT, MinResult, check_options
 from . import levelset as _levelset
@@ -187,9 +187,11 @@ def nearest_definite_pair(A, B, delta: float, method: str = "auto",
     - ``A_tilde + i*B_tilde = e^{-i*psi}((A + dA) + i(B + dB))``, checked
       one block of rows at a time;
 
-    with ``scale = ||[A B]||_2``, or 1 for a zero pair.  All checks run
-    before returning; a Crawford solve that stops short raises
-    ConvergenceFailure.
+    with ``scale`` an estimate of ``||[A B]||_2`` from below
+    (:func:`~inropt.kernels.stacked_norm_below`), or 1 for a zero pair.  A
+    scale from below can only tighten the three checks and the floor
+    shift.  All checks run before returning; a Crawford solve that stops
+    short raises ConvergenceFailure.
     """
     if not 0 < delta < np.inf:
         raise ValueError("delta must be positive and finite")
@@ -200,9 +202,7 @@ def nearest_definite_pair(A, B, delta: float, method: str = "auto",
     Ah, Bh, n = A.dense, B.dense, A.dim
     theta = cr.witness.theta_star
     c, s = np.cos(theta), np.sin(theta)
-    # Before the outputs exist, so that the Gram matrix does not stack on
-    # them.
-    scale = stacked_norm(Ah, Bh) or 1.0
+    scale = stacked_norm_below(Ah, Bh) or 1.0
     H = np.multiply(Ah, c, dtype=np.result_type(Ah, Bh, c))
     H += Bh * s
     H += H.conj().T

@@ -5,13 +5,16 @@ definiteness layer) goes through the small set of operations in this module:
 Hermitian eigendecomposition, positive-definiteness tests (Cholesky for
 dense, symmetric LDL^T for sparse storage), clustered largest-eigenpair
 extraction, unit-circle pencil eigenvalues, and orthonormal basis extension.
-Every dense Hermitian eigensolve of the package goes through one function,
-:func:`_dense_eigh`, and the dimension alone picks its library: numpy's
-below ``SUBSET_THRESHOLD``, and from there on scipy's LAPACK ?heevr/?syevr
-for the top eigenpairs only.  Dense products (:func:`matmul`) and Cholesky
-tests (:func:`is_pd`) follow the same threshold, so that an evaluation loop
-keeps to one of the two OpenBLAS copies that numpy and scipy load.  The
-level-set pencil, which is not Hermitian, stays on numpy.
+Every dense LAPACK call of the package is made here, and the dimension of
+the problem alone picks its library: numpy's below ``SUBSET_THRESHOLD``,
+and from there on scipy's.  Every dense Hermitian eigensolve goes through
+:func:`_dense_eigh`, which from the threshold on asks scipy's ?heevr/?syevr
+for the top eigenpairs only.  Dense products (:func:`matmul`), Cholesky
+tests (:func:`is_pd`), the level-set pencil's solve and eigenvalues
+(:func:`pencil_unit_eigs`), other eigenvalues (:func:`general_eigvals`) and
+the matrix 2-norm (:func:`spectral_norm`) follow the same threshold, so
+that an evaluation loop keeps to one of the two OpenBLAS copies that numpy
+and scipy load.
 On large sparse operators LDL^T PD tests gallop a shift up from an
 estimate of the largest eigenvalue, a loose Lanczos cycle moves a distant
 shift closer, shift-invert Lanczos starts from two pairs, and an LDL^T
@@ -22,13 +25,14 @@ all of its evaluations, and a bare sparse matrix gets one per call.
 
 All types except :class:`ShiftPlan` are immutable after construction; a
 plan fills in its fill-reducing order once, on its first factorization, and
-two threads that race there write the same arrays.  All are safe to share
-across threads, and every operation is a pure function of its inputs.
+writes each later matrix into one container, under a lock.  All are safe to
+share across threads, and every operation is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,13 +46,15 @@ from .errors import ConvergenceFailure, NonHermitianInput, SingularPencil
 # Below this dimension, iterative paths densify instead.
 DENSE_THRESHOLD = 1000
 # From this dimension on, dense storage solves for the top eigenpairs only,
-# through LAPACK ?heevr/?syevr, and every dense product, eigensolve and
-# Cholesky at that size runs on scipy's OpenBLAS as well: numpy loads another
-# copy, and alternating between the two thread pools costs more than the
-# subset saves.  Below it, the numpy work next to the evaluations (the
-# level-set pencil of a 140- or 200-dimensional pair) slowed by more than
-# the subset saved (BENCH_15.json).
-SUBSET_THRESHOLD = 256
+# through LAPACK ?heevr/?syevr, and every dense LAPACK call and product at
+# that size runs on scipy's OpenBLAS as well: numpy loads another copy, and
+# handing the CPUs from one library's spinning workers to the other's costs
+# more than the subset saves.  It is the crossover of one evaluation
+# (combine, eigensolve, derivative block), numpy's full eigh against
+# scipy's top-10 subset, in ms on a 2-CPU Xeon with OPENBLAS_NUM_THREADS=2:
+# 0.14/0.23 at n = 32, 0.34/0.37 at 48, 0.59/0.61 at 64, 2.05/1.29 at 96,
+# 5.55/2.47 at 128 and 9.85/5.60 at 200.
+SUBSET_THRESHOLD = 96
 # Residual tolerance for accepted eigenpairs, relative to ||M||_2.
 EIG_RESIDUAL_TOL = 1e-10
 # The sparse path tests the shift REFINED_REL_GAP * ||M||_1 above an
@@ -300,15 +306,19 @@ class ShiftPlan:
     order of the pattern and keeps it.  The second permutes the pattern by
     that order once, into CSC, with a map that gathers M's data into it and
     the positions of its diagonal, so a plan used once never builds it.
-    Every later factorization gathers the data, writes sigma into the
-    diagonal in place and factors in the ``NATURAL`` order: the same order,
-    not taken again.
+    Every later factorization gathers the data into the one CSC matrix of
+    that layout, writes sigma into its diagonal in place and factors it in
+    the ``NATURAL`` order: the same order, not taken again.  A factor keeps
+    no reference to that matrix, so overwriting it leaves earlier solves
+    intact.
     """
 
     def __init__(self, pattern):
         self.pattern = pattern
         self._order = None  # the fill-reducing order, once taken
         self._layout = None  # _csc_layout in that order, from the second on
+        self._matrix = None  # the CSC matrix of that layout, rewritten
+        self._lock = threading.Lock()
 
     def matrix(self, data) -> sp.csr_matrix:
         """The CSR matrix with ``data`` on the plan's pattern."""
@@ -329,23 +339,31 @@ class ShiftPlan:
         factorization is singular or pivoted.  Every sparse factorization
         of the package is made here.
         """
-        if self._layout is None and self._order is not None:
-            self._layout = _csc_layout(self.pattern, self._order)
-        order, back, gather, diag, indices, indptr = (
-            self._layout or _csc_layout(self.pattern, None))
-        a = -data[gather]
-        a[diag] += sigma
-        try:
-            # One column per panel: SuperLU's default panels took 1.3 to 2.4
-            # times as long on the QEP linearization and the 2-D Laplacian.
-            lu = spla.splu(sp.csc_matrix((a, indices, indptr),
-                                         shape=self.pattern.shape),
-                           permc_spec="MMD_AT_PLUS_A" if order is None
-                           else "NATURAL",
-                           diag_pivot_thresh=0.0, panel_size=1,
-                           options={"SymmetricMode": True})
-        except RuntimeError:  # exactly singular
-            return None
+        with self._lock:
+            if self._layout is None and self._order is not None:
+                self._layout = _csc_layout(self.pattern, self._order)
+            order, back, gather, diag, indices, indptr = (
+                self._layout or _csc_layout(self.pattern, None))
+            K = self._matrix
+            if order is None or K is None or K.dtype != data.dtype:
+                K = sp.csc_matrix((data[gather], indices, indptr),
+                                  shape=self.pattern.shape)
+                if order is not None:
+                    self._matrix = K
+            else:
+                np.take(data, gather, out=K.data)
+            np.negative(K.data, out=K.data)
+            K.data[diag] += sigma
+            try:
+                # One column per panel: SuperLU's default panels took 1.3 to
+                # 2.4 times as long on the QEP linearization and the 2-D
+                # Laplacian.
+                lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A" if order is None
+                               else "NATURAL",
+                               diag_pivot_thresh=0.0, panel_size=1,
+                               options={"SymmetricMode": True})
+            except RuntimeError:  # exactly singular
+                return None
         if order is None:
             # Row and column i of M are row and column perm_c[i] of the
             # factor.
@@ -479,8 +497,7 @@ def _top_eigpairs_sparse(op: HermitianOperator, eps_cluster: float,
     est, gap = float(M.diagonal().real.max()), start
     if lower is not None:
         est = max(est, min(lower, norm1))
-    # A fixed start vector makes repeated calls return the same bits.
-    v0 = np.random.default_rng(12345).standard_normal(n).astype(M.dtype)
+    v0 = _start_vector(n, M.dtype)
     while True:
         sigma = est + gap
         solve = plan.ldl(sigma, data)
@@ -570,7 +587,9 @@ def pencil_unit_eigs(C: np.ndarray, alpha: float):
     scale together, so neither does the band.  They include the crossings
     of every eigenvalue branch, not only of the largest; the caller
     classifies the gaps between them.  A well-conditioned ``C`` takes the
-    standard eigenproblem of ``S^{-1} R``, any other the QZ algorithm.
+    standard eigenproblem of ``S^{-1} R``, its solve and eigenvalues on the
+    library of C's dimension, and any other the QZ algorithm, which numpy
+    lacks: scipy's at every dimension.
     """
     C = np.asarray(C, dtype=complex)
     if C.shape[0] != C.shape[1]:
@@ -583,11 +602,12 @@ def pencil_unit_eigs(C: np.ndarray, alpha: float):
     # C^{-*} for the condition estimate.
     Ch = C.conj().T
     try:
-        Y = np.linalg.solve(Ch, np.hstack([eye, -C]))
+        Y = _solve(Ch, np.hstack([eye, -C]))
         rcond = 1.0 / (np.linalg.norm(Ch, 1) * np.linalg.norm(Y[:, :n], 1))
         if rcond > PENCIL_RCOND_MIN:
             Y[:, :n] *= 2.0 * alpha
-            ev = np.linalg.eigvals(np.vstack([Y, np.hstack([eye, zero])]))
+            ev = general_eigvals(np.vstack([Y, np.hstack([eye, zero])]),
+                                 dim=n)
     except np.linalg.LinAlgError:
         pass
     if ev is None:
@@ -653,29 +673,80 @@ def orthonormal_extend(V: Basis, W) -> Basis:
     return Basis(n, np.hstack([Q, X]))
 
 
-def stacked_norm(X: np.ndarray, Y: np.ndarray) -> float:
-    """``||[X Y]||_2`` of two dense n x n matrices, as the square root of the
-    largest eigenvalue of the n x n Gram matrix ``X X^* + Y Y^*``: no SVD of
-    the n x 2n block.
+def stacked_norm_below(X: np.ndarray, Y: np.ndarray) -> float:
+    """An estimate of ``||[X Y]||_2`` from below, for two dense n x n
+    matrices, without the SVD of the n x 2n block or the n x n Gram matrix
+    ``G = X X^* + Y Y^*``.
 
-    From ``SUBSET_THRESHOLD`` on, BLAS ?herk/?syrk builds the upper triangle
-    of the conjugate ``conj(X X^*) + conj(Y Y^*)``, which has the same
-    eigenvalues, from the transposed views of X and Y, with no conjugate
-    copy; below it numpy's products build the whole matrix.
+    At most 8 Lanczos steps on G, applied as four products with a vector,
+    from a fixed start vector, each new vector reorthogonalized by
+    :func:`orthonormal_extend`; the estimate is the square root of the
+    largest eigenvalue of G's projection on their span, tridiagonal up to
+    rounding.  By interlacing it never exceeds
+    ``||[X Y]||_2 = sqrt(lambda_max(G))`` beyond rounding, and it is exact
+    once the span is invariant, for n up to 8 at the latest.  On
+    ``grcar_pair(640)`` it reads 0.995 of the exact value.
     """
-    if X.shape[0] < SUBSET_THRESHOLD:
-        G = matmul(X, X.conj().T) + matmul(Y, Y.conj().T)
-    else:
-        dtype = np.result_type(X, Y, np.float64)
-        cplx = dtype.kind == "c"
-        rank_k, = sla.get_blas_funcs(("herk" if cplx else "syrk",),
-                                     dtype=dtype)
-        # z = Z^T and z^* z = conj(Z Z^*), with trans 'C' (2) or 'T' (1).
-        trans = 2 if cplx else 1
-        G = rank_k(1.0, np.asarray(X, dtype).T, trans=trans)
-        G = rank_k(1.0, np.asarray(Y, dtype).T, beta=1.0, c=G, trans=trans,
-                   overwrite_c=1)
-    return float(np.sqrt(max(_dense_eigh(G, 1, vectors=False)[0][0], 0.0)))
+    n = X.shape[0]
+
+    def gram(v):
+        # X X^* v with X^* v = conj(v^* X): no conjugate copy of X
+        return sum(matmul(Z, matmul(v.conj(), Z).conj()) for Z in (X, Y))
+
+    start = _start_vector(n, np.result_type(X, Y, np.float64))
+    V, GV = orthonormal_extend(Basis.empty(n), [start]), []
+    while True:
+        GV.append(gram(V.cols[:, len(GV)]))
+        if len(GV) == 8:
+            break
+        W = orthonormal_extend(V, GV[-1:])
+        if W is V:  # the span is invariant
+            break
+        V = W
+    T = matmul(V.cols.conj().T, np.column_stack(GV))
+    top = _dense_eigh((T + T.conj().T) / 2.0, 1, vectors=False)[0][0]
+    return float(np.sqrt(max(top, 0.0)))
+
+
+def _start_vector(n: int, dtype) -> np.ndarray:
+    """A fixed start vector, so that repeated calls return the same
+    bits."""
+    return np.random.default_rng(12345).standard_normal(n).astype(dtype)
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a^{-1} b`` for a dense square ``a``, on the library of its
+    dimension: numpy's below ``SUBSET_THRESHOLD``, scipy's LAPACK ?gesv from
+    there on.  A singular ``a`` raises LinAlgError."""
+    if a.shape[0] < SUBSET_THRESHOLD:
+        return np.linalg.solve(a, b)
+    gesv, = sla.get_lapack_funcs(("gesv",), (a, b))
+    x, info = gesv(a, b)[2:]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"?gesv failed with info {info}")
+    return x
+
+
+def general_eigvals(M: np.ndarray, dim: Optional[int] = None) -> np.ndarray:
+    """Eigenvalues of a dense square matrix, Hermitian or not, unordered.
+
+    ``dim`` is the dimension of the problem that M belongs to, M's own by
+    default, and picks the library: numpy's ``eigvals`` below
+    ``SUBSET_THRESHOLD``, scipy's from there on.  A LAPACK failure raises
+    LinAlgError.
+    """
+    if (dim or M.shape[0]) < SUBSET_THRESHOLD:
+        return np.linalg.eigvals(M)
+    return sla.eigvals(M, check_finite=False)
+
+
+def spectral_norm(M: np.ndarray) -> float:
+    """``||M||_2`` of a dense matrix, its largest singular value: numpy's
+    SVD below ``SUBSET_THRESHOLD``, scipy's ``svdvals`` from there on."""
+    M = np.asarray(M)
+    if max(M.shape) < SUBSET_THRESHOLD:
+        return float(np.linalg.norm(M, 2))
+    return float(sla.svdvals(M, check_finite=False)[0])
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import EmptyLevelSet, NonHermitianInput
 from .kernels import (HermitianOperator, hermitian_eigvals, hermitian_split,
-                      is_pd, pencil_unit_eigs)
+                      is_pd, pencil_unit_eigs, spectral_norm)
 from .param import ParamHermitian, top_cluster
 from .results import TOL_DEFAULT, MinResult, Status, check_options
 
@@ -122,7 +122,7 @@ def levelset_minimize(C: np.ndarray, tol: float = TOL_DEFAULT,
     check_options(tol, max_iter)
     C = np.asarray(C, dtype=complex)
     P = ParamHermitian.trig(*hermitian_split(C))
-    norm_c = float(np.linalg.norm(C, 2))  # one SVD; the stopping scale
+    norm_c = spectral_norm(C)  # one SVD; the stopping scale
 
     def lam_max(theta):
         return float(hermitian_eigvals(P.evaluate(theta))[0])

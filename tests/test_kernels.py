@@ -557,6 +557,11 @@ class TestLargestEigpairs:
         assert np.array_equal(V1, V2)
 
 
+# Either side of SUBSET_THRESHOLD, and an odd and an even dimension well
+# past it.
+SIDES = [kernels.SUBSET_THRESHOLD - 1, kernels.SUBSET_THRESHOLD, 255, 256]
+
+
 def triple_top_dense(n, complex_):
     """Q diag(d) Q^* with a random unitary (orthogonal) Q: the top
     eigenvalue 5 is triple, and the rest of d falls from 4.5 to -5."""
@@ -575,7 +580,7 @@ class TestDenseSubsetPath:
     LAPACK ?heevr/?syevr; they must match numpy's full decomposition."""
 
     @pytest.mark.parametrize("complex_", [False, True])
-    @pytest.mark.parametrize("n", [kernels.SUBSET_THRESHOLD, 640])
+    @pytest.mark.parametrize("n", [kernels.SUBSET_THRESHOLD, 256, 640])
     def test_matches_full_eigh(self, n, complex_, monkeypatch):
         M = triple_top_dense(n, complex_)
         w, V = np.linalg.eigh(M)
@@ -637,8 +642,7 @@ class TestDenseSubsetPath:
         assert spectral_norm_ub(M) == pytest.approx(5.0, rel=1e-14)
 
     @pytest.mark.parametrize("complex_", [False, True])
-    @pytest.mark.parametrize("n", [kernels.SUBSET_THRESHOLD - 1,
-                                   kernels.SUBSET_THRESHOLD])
+    @pytest.mark.parametrize("n", SIDES)
     def test_value_range_matches_numpy(self, n, complex_):
         # The pairs above a value, and at least the top one: the value
         # range of ?heevr from the threshold on, numpy's slice below it.
@@ -656,21 +660,7 @@ class TestDenseSubsetPath:
             assert np.linalg.norm(R, axis=0).max() <= 1e-11
 
     @pytest.mark.parametrize("complex_", [False, True])
-    @pytest.mark.parametrize("n", [kernels.SUBSET_THRESHOLD - 1,
-                                   kernels.SUBSET_THRESHOLD])
-    def test_stacked_norm_matches_the_svd(self, n, complex_):
-        rng = np.random.default_rng(n)
-        X, Y = (random_hermitian(n, rng, real=not complex_) for _ in "XY")
-        svd = np.linalg.norm(np.hstack([X, Y]), 2)
-        assert kernels.stacked_norm(X, Y) == pytest.approx(svd, rel=1e-12)
-        # a C-ordered and a Fortran-ordered block give the same Gram matrix
-        assert kernels.stacked_norm(X, np.asfortranarray(2.0 * Y)) \
-            == pytest.approx(np.linalg.norm(np.hstack([X, 2.0 * Y]), 2),
-                             rel=1e-12)
-
-    @pytest.mark.parametrize("complex_", [False, True])
-    @pytest.mark.parametrize("n", [kernels.SUBSET_THRESHOLD - 1,
-                                   kernels.SUBSET_THRESHOLD])
+    @pytest.mark.parametrize("n", SIDES)
     def test_dense_pd_test_agrees_with_the_spectrum(self, n, complex_):
         M = triple_top_dense(n, complex_)  # spectrum [-5, 5]
         for shift, pd in ((5.0 + 1e-9, True), (5.0 - 1e-9, False)):
@@ -680,8 +670,7 @@ class TestDenseSubsetPath:
             np.testing.assert_array_equal(S, before)
             assert is_pd(S, overwrite=True) is pd
 
-    @pytest.mark.parametrize("n", [kernels.SUBSET_THRESHOLD - 1,
-                                   kernels.SUBSET_THRESHOLD])
+    @pytest.mark.parametrize("n", SIDES)
     def test_lapack_failure_is_a_convergence_failure(self, n, monkeypatch):
         # numpy's LinAlgError is a ValueError, an input error to the CLI;
         # a failed dense eigensolve must read as ConvergenceFailure on
@@ -715,6 +704,40 @@ class TestDenseSubsetPath:
             out = kernels.matmul(x, y)
             assert out.shape == (x @ y).shape
             np.testing.assert_allclose(out, x @ y, rtol=1e-13, atol=1e-12)
+
+
+class TestStackedNormBelow:
+    """||[X Y]||_2 from below, by at most 8 Lanczos steps on
+    X X^* + Y Y^*: never above the SVD value, and close to it."""
+
+    @pytest.mark.parametrize("pair, floor", [
+        (gallery.cheng_higham7(), 1.0 - 1e-12),  # n <= 8 steps: exact
+        (gallery.grcar_pair(kernels.SUBSET_THRESHOLD), 0.99),
+        (gallery.grcar_pair(640), 0.99)],
+        ids=["cheng_higham7", "grcar_pair-threshold", "grcar_pair-640"])
+    def test_gallery_pairs(self, pair, floor):
+        svd = np.linalg.norm(np.hstack(pair), 2)
+        est = kernels.stacked_norm_below(*pair)
+        assert floor * svd <= est <= (1.0 + 1e-12) * svd
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", [5, kernels.SUBSET_THRESHOLD - 1,
+                                   kernels.SUBSET_THRESHOLD, 200])
+    def test_random_pairs(self, n, complex_):
+        # A semicircle spectrum's soft edge is Lanczos' slowest case: 40
+        # random pairs of n from 2 to 299 read 0.973 to 1 of the SVD value.
+        rng = np.random.default_rng(n)
+        X, Y = (random_hermitian(n, rng, real=not complex_) for _ in "XY")
+        svd = np.linalg.norm(np.hstack([X, Y]), 2)
+        est = kernels.stacked_norm_below(X, Y)
+        assert 0.97 * svd <= est <= (1.0 + 1e-12) * svd
+        # a C-ordered and a Fortran-ordered block give the same estimate
+        assert kernels.stacked_norm_below(X, np.asfortranarray(Y)) \
+            == pytest.approx(est, rel=1e-13)
+
+    def test_zero_pair(self):
+        Z = np.zeros((3, 3))
+        assert kernels.stacked_norm_below(Z, Z) == 0.0
 
 
 class TestIsPd:
@@ -827,6 +850,23 @@ class TestShiftPlan:
             assert plan.ldl(sigma, data) is not None
         assert built == ["natural", "natural", "permuted"]
 
+    def test_later_factorizations_share_one_matrix(self):
+        # from the second factorization on, each writes sigma*I - M into the
+        # plan's one CSC matrix; a factor made before the matrix was
+        # overwritten still solves its own system
+        M = gallery.poisson2d(32)
+        plan, (data,) = kernels.shift_plan([M])
+        assert plan.ldl(10.0, data) is not None  # takes the order
+        solve = plan.ldl(20.0, data)
+        K = plan._matrix
+        b = np.random.default_rng(2).standard_normal(M.shape[0])
+        x = solve(b)
+        assert plan.ldl(30.0, data) is not None
+        assert plan._matrix is K
+        np.testing.assert_array_equal(solve(b), x)
+        fresh = spla.splu((20.0 * sp.identity(M.shape[0]) - M).tocsc())
+        np.testing.assert_allclose(x, fresh.solve(b), rtol=1e-12, atol=0)
+
     def test_cancelling_entry_keeps_pattern_and_order(self, monkeypatch):
         # A(w) = A + w*B, where B cancels A's off-diagonal entries exactly
         # at w = 1: A(1) is diagonal, yet stored on the family's pattern
@@ -921,6 +961,21 @@ class TestPencil:
             assert np.all(np.diff(ang) >= 0.0)  # level_intervals relies on it
             self.check_sound_and_complete(C, theta0, ang)
             # same angles as QZ on the pencil itself
+            ref = pencil_unit_angles_qz(C, alpha)
+            assert len(ang) == len(ref)
+            np.testing.assert_allclose(ang, ref, atol=1e-8)
+
+    def test_soundness_and_completeness_at_the_subset_dimension(self):
+        # from SUBSET_THRESHOLD on, the solve and eigenvalues run on scipy
+        rng = np.random.default_rng(12)
+        n = kernels.SUBSET_THRESHOLD
+        for _ in range(3):
+            C = (rng.standard_normal((n, n))
+                 + 1j * rng.standard_normal((n, n)))
+            theta0 = rng.uniform(0.0, 2.0 * np.pi)
+            alpha = lam_max_H(C, theta0)[-1]
+            ang = pencil_unit_eigs(C, alpha)
+            self.check_sound_and_complete(C, theta0, ang)
             ref = pencil_unit_angles_qz(C, alpha)
             assert len(ang) == len(ref)
             np.testing.assert_allclose(ang, ref, atol=1e-8)
@@ -1127,10 +1182,9 @@ class TestSpectralNormUb:
 
 
 def test_no_eigensolver_outside_kernels():
-    # One function in kernels.py picks the library of every dense Hermitian
-    # eigensolve, and is_pd that of every positive-definiteness test; a
-    # direct eigensolver or factorization call elsewhere in the package
-    # would bypass them.
+    # kernels.py picks the library of every dense LAPACK call by one rule;
+    # a direct eigensolver, solve, SVD, factorization or matrix 2-norm
+    # elsewhere in the package would bypass it.
     import ast
     from pathlib import Path
 
@@ -1144,8 +1198,14 @@ def test_no_eigensolver_outside_kernels():
                 continue
             func = node.func
             name = getattr(func, "attr", getattr(func, "id", None))
-            if name in ("eigh", "eigvalsh", "cholesky", "splu",
-                        "get_lapack_funcs"):
+            args = node.args[1:2] + [k.value for k in node.keywords
+                                     if k.arg == "ord"]
+            two_norm = name == "norm" and any(
+                isinstance(a, ast.Constant) and a.value in (2, -2)
+                for a in args)
+            if two_norm or name in (
+                    "eigh", "eigvalsh", "eig", "eigvals", "solve", "svd",
+                    "svdvals", "cholesky", "splu", "get_lapack_funcs"):
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
 
